@@ -26,6 +26,15 @@ al r_i al = r_i n_i for i = 1, 2, 3, and al commutes with r4, sg and
 every n_i.  (Alternation commutes with negation as a sequence map,
 which settles n4; it commutes with reversal exactly for odd lengths,
 which settles r4 since D has odd length n-1.)
+
+The normal form also gives the canonical member without listing the
+orbit: every member is a per-sequence negate/reverse applied to
+sg^w al^t S, so the orbit is covered by the 2 x 2 choices of (t, w)
+and, for each of A, B, C, D independently, its four images x, x', -x,
+-x'.  `canonicalize` keeps, for each (t, w), only the images that pass
+their own sequence's canonical clauses (necessary conditions, so no
+canonical member is lost) and runs the full test on the few products
+that remain.  `orbit` stays as the explicit closure.
 """
 
 from __future__ import annotations
@@ -237,6 +246,40 @@ def orbit(s: TurynQuad) -> set[TurynQuad]:
 # --- canonical form ------------------------------------------------------
 
 
+def _ab_clause(x: tuple[int, ...]) -> bool:
+    """Clause (i) for an A or B row (x_1 = x_n = +1), then clause (ii)/(iii)."""
+    n = len(x)
+    if x[0] != 1 or x[n - 1] != 1:
+        return False
+    for i in range(n):
+        if x[i] != x[n - 1 - i]:
+            return x[i] == 1
+    return True
+
+
+def _c_clause(c: tuple[int, ...]) -> bool:
+    """Clause (i) for C (c_1 = +1), then clause (iv)."""
+    n = len(c)
+    if c[0] != 1:
+        return False
+    for i in range(n):
+        if c[i] == c[n - 1 - i]:
+            return c[i] == 1
+    return True
+
+
+def _d_clause(d: tuple[int, ...]) -> bool:
+    """Clause (i) for D (d_1 = +1), then clause (v); D has length n - 1."""
+    m = len(d)
+    if d[0] != 1:
+        return False
+    eps = d[m - 1]
+    for i in range(1, m + 1):  # 1-based scan over positions of D
+        if d[i - 1] * d[m - i] != eps:
+            return d[i - 1] == 1
+    return True
+
+
 def is_canonical(s: TurynQuad) -> bool:
     """The six canonical sign conditions.
 
@@ -249,52 +292,61 @@ def is_canonical(s: TurynQuad) -> bool:
           then a_{n-1} = +1 and b_{n-1} = -1.
 
     Each "least index" clause is vacuous when no such index exists.
+    Clauses (i)-(v) split into one test per sequence; only (vi) ties
+    two sequences together.
     """
     a, b, c, d = s.a.entries, s.b.entries, s.c.entries, s.d.entries
     n = s.n
-    if not (a[0] == 1 and a[n - 1] == 1 and b[0] == 1 and b[n - 1] == 1 and c[0] == 1 and d[0] == 1):
+    if not (_ab_clause(a) and _ab_clause(b) and _c_clause(c) and _d_clause(d)):
         return False
-    for x in (a, b):
-        for i in range(n):
-            if x[i] != x[n - 1 - i]:
-                if x[i] != 1:
-                    return False
-                break
-    for i in range(n):
-        if c[i] == c[n - 1 - i]:
-            if c[i] != 1:
-                return False
-            break
-    eps = d[n - 2]
-    for i in range(1, n):  # 1-based scan over positions of D
-        if d[i - 1] * d[n - 1 - i] != eps:
-            if d[i - 1] != 1:
-                return False
-            break
     if n > 2:
         if a[1] != b[1]:
-            if a[1] != 1:
-                return False
-        elif not (a[n - 2] == 1 and b[n - 2] == -1):
-            return False
+            return a[1] == 1
+        return a[n - 2] == 1 and b[n - 2] == -1
     return True
+
+
+def _passing_images(x: BinarySeq, clause) -> list[BinarySeq]:
+    """The distinct images x, x', -x, -x' of one sequence that pass `clause`."""
+    e = x.entries
+    neg = tuple(-v for v in e)
+    images = dict.fromkeys((e, e[::-1], neg, neg[::-1]))
+    return [BinarySeq(img) for img in images if clause(img)]
 
 
 def canonicalize(s: TurynQuad) -> TurynQuad:
     """The unique canonical member of the orbit of s.
 
-    A full orbit scan; uniqueness of the canonical member is relied on
-    and double-checked, so a zero or double hit raises instead of being
+    Built directly instead of by scanning the orbit.  In normal form
+    every orbit member is a per-sequence negate/reverse applied to
+    sg^w al^t s, so for each of the four (t, w) the candidates are the
+    product of the four images x, x', -x, -x' of each sequence.  Images
+    failing their own sequence's clauses of `is_canonical` are dropped
+    first; those clauses are necessary, so no canonical member is lost,
+    and the full test on the remaining products settles clause (vi) and
+    the A/B order.  Uniqueness of the canonical member is relied on and
+    double-checked, so a zero or double hit raises instead of being
     silently resolved.
     """
     if not verify_tt(s):
         raise ValueError("canonicalize needs a valid quadruple")
-    hits = [q for q in orbit(s) if is_canonical(q)]
+    hits: dict[TurynQuad, None] = {}
+    for quad in (s, g_apply(ALTERNATE, s)):
+        # A and B share one clause, so the swap w only exchanges their roles.
+        images_a = _passing_images(quad.a, _ab_clause)
+        images_b = _passing_images(quad.b, _ab_clause)
+        images_c = _passing_images(quad.c, _c_clause)
+        images_d = _passing_images(quad.d, _d_clause)
+        for first, second in ((images_a, images_b), (images_b, images_a)):
+            for a, b, c, d in product(first, second, images_c, images_d):
+                q = TurynQuad(a, b, c, d)
+                if is_canonical(q):
+                    hits[q] = None
     if len(hits) != 1:
         raise RuntimeError(
             f"orbit of {s} contains {len(hits)} canonical members; expected exactly 1"
         )
-    return hits[0]
+    return next(iter(hits))
 
 
 def equivalent(s1: TurynQuad, s2: TurynQuad) -> bool:

@@ -267,7 +267,8 @@ def build_pool(
     if count > cap_rows:
         raise FeasibilityError(
             f"pool for {kind} with sum {target_sum} has {count} candidate rows "
-            f"(cap {cap_rows}); raise cap_rows to build it anyway"
+            f"(cap {cap_rows}); the cap can be raised only by calling "
+            "build_pool(..., cap_rows=...) from Python"
         )
     lags = np.arange(1, length)
     grid = np.arange(1, cfg.grid_points + 1) * (np.pi / cfg.grid_points)
@@ -489,21 +490,23 @@ def search(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    pool_c = build_pool(cfg.n, "C", cfg.squares.c, cfg)
-    pool_d = build_pool(cfg.n, "D", cfg.squares.d, cfg)
     found: dict[str, None] = {}
     start = 0
     done = False
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    resuming = bool(checkpoint_path) and os.path.exists(checkpoint_path)
+    if resuming:
         start, done = _read_checkpoint(checkpoint_path, cfg)
         if results_path and os.path.exists(results_path):
             for _, code in read_listing(Path(results_path).read_text()):
                 found[code] = None
-    elif results_path:
+    if done:
+        # A finished run needs no pools.
+        return [decode(code, cfg.n) for code in sorted(found)]
+    pool_c = build_pool(cfg.n, "C", cfg.squares.c, cfg)
+    pool_d = build_pool(cfg.n, "D", cfg.squares.d, cfg)
+    if results_path and not resuming:
         with open(results_path, "w") as fh:
             fh.write(f"# search {cfg.describe()}\n")
-    if done:
-        return [decode(code, cfg.n) for code in sorted(found)]
 
     seed_stream = itertools.islice(generate_seeds(cfg), start, None)
     if max_seeds_per_run is not None:

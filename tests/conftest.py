@@ -6,10 +6,12 @@ the per-n class counts, six known canonical codes for n = 26..36, and
 one fully displayed TT(38) together with its compact code and row sums.
 """
 
+import os
 from pathlib import Path
 
 import pytest
 
+import turynseq
 from turynseq.codec import read_listing
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -59,6 +61,14 @@ def load_reference_text(name: str) -> str:
 
 def load_reference_codes(name: str) -> list[str]:
     return [code for _, code in read_listing(load_reference_text(name))]
+
+
+def child_env():
+    """Environment for a child interpreter that imports this checkout's turynseq."""
+    env = os.environ.copy()
+    src = str(Path(turynseq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,13 @@
 """Tests for the command-line interface, mostly via in-process main() calls."""
 
 import io
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import turynseq
-from conftest import TT38_CODE, load_reference_text
+from conftest import TT38_CODE, child_env, load_reference_text
 from turynseq.cli import main
 from turynseq.codec import decode, read_listing
 from turynseq.enumeration import decompositions
@@ -264,14 +262,6 @@ class TestCodecCommands:
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-
-
-def child_env():
-    """Environment for a child interpreter that imports this checkout's turynseq."""
-    env = os.environ.copy()
-    src = str(Path(turynseq.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 class TestInstalledScript:

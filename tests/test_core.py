@@ -8,7 +8,10 @@ checked against decoded reference representatives.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import turynseq.core as core
 from turynseq.codec import decode
 from turynseq.core import (
     ALTERNATE,
@@ -19,6 +22,7 @@ from turynseq.core import (
     NEGATE_C,
     REVERSE_A,
     SWAP_AB,
+    GroupElement,
     TurynQuad,
     all_elements,
     canonicalize,
@@ -32,7 +36,7 @@ from turynseq.core import (
 )
 from turynseq.seqs import BinarySeq
 
-from conftest import TT38_A, TT38_B, TT38_C, TT38_D, load_reference_codes
+from conftest import KNOWN_LARGE_CODES, TT38_A, TT38_B, TT38_C, TT38_D, load_reference_codes
 
 TT2 = TurynQuad.from_pm("++", "++", "+-", "+")
 TT38 = TurynQuad.from_pm(TT38_A, TT38_B, TT38_C, TT38_D)
@@ -42,6 +46,20 @@ N8_EXAMPLE = TurynQuad.from_pm("++-+-+-+", "+------+", "+--++++-", "+++-++-")
 
 def random_element(rng):
     return list(all_elements())[rng.randrange(1024)]
+
+
+def orbit_scan_canonical(s):
+    """Reference canonical form: every orbit member that passes is_canonical."""
+    return [q for q in orbit(s) if is_canonical(q)]
+
+
+# Canonical representatives for the property test: the n = 10 listing,
+# the published n = 26..36 codes and the displayed TT(38).
+PROPERTY_REPS = (
+    [decode(code, 10) for code in load_reference_codes("reference_n10.txt")]
+    + [decode(code, n) for n, code in sorted(KNOWN_LARGE_CODES.items())]
+    + [TT38]
+)
 
 
 class TestTurynQuad:
@@ -205,6 +223,31 @@ class TestCanonicalForm:
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError):
             canonicalize(TurynQuad.from_pm("++", "++", "++", "+"))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_orbit_scan_on_every_image(self, n):
+        for code in load_reference_codes(f"reference_n{n}.txt"):
+            rep = decode(code, n)
+            oracle = orbit_scan_canonical(rep)
+            assert oracle == [rep]
+            for g in all_elements():
+                assert canonicalize(g_apply(g, rep)) == oracle[0]
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        bits=st.tuples(*[st.integers(0, 1)] * 10),
+        rep=st.sampled_from(PROPERTY_REPS),
+    )
+    def test_recovers_representative_from_any_group_image(self, bits, rep):
+        assert canonicalize(g_apply(GroupElement(bits), rep)) == rep
+
+    def test_does_not_scan_the_orbit(self, monkeypatch):
+        def no_orbit(s):
+            raise AssertionError("canonicalize must not build the orbit")
+
+        monkeypatch.setattr(core, "orbit", no_orbit)
+        scrambled = g_apply(g_mul(ALTERNATE, g_mul(SWAP_AB, REVERSE_A)), TT38)
+        assert canonicalize(scrambled) == TT38
 
     def test_last_c_entry_forced_negative(self):
         for n in (2, 4, 6, 8, 10):

@@ -1,5 +1,7 @@
 """Tests for class enumeration, decompositions, and brute-force cross-checks."""
 
+import re
+
 import pytest
 
 from conftest import REFERENCE_COUNTS, load_reference_codes
@@ -131,6 +133,14 @@ class TestEnumerate:
             enumerate_canonical(40, cap=20)
         # An explicit larger cap overrides the refusal.
         assert len(enumerate_canonical(8, cap=8)) == REFERENCE_COUNTS[8]
+
+    def test_cap_refusal_estimate_uses_measured_growth(self):
+        # About 20x per length step from 410 s at n = 14 puts n = 22 at
+        # years of wall time, not the hours an 8x-per-step guess gives.
+        with pytest.raises(FeasibilityError, match=r"roughly \d+ days") as exc:
+            enumerate_canonical(22)
+        days = int(re.search(r"roughly (\d+) days", str(exc.value)).group(1))
+        assert days > 365
 
 
 class TestBruteForce:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +209,14 @@ class TestBuildPool:
         with pytest.raises(FeasibilityError, match="cap_rows"):
             build_pool(38, "C", 8, SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3)))
 
+    def test_row_cap_message_names_the_only_way_to_raise_it(self):
+        # C rows of length 10 with sum 2 have comb(10, 4) = 210 candidates.
+        with pytest.raises(FeasibilityError) as exc:
+            build_pool(10, "C", 2, cfg10(), cap_rows=5)
+        message = str(exc.value)
+        assert "210 candidate rows (cap 5)" in message
+        assert "only by calling build_pool(..., cap_rows=...) from Python" in message
+
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             build_pool(10, "E", 0, cfg10())
@@ -315,6 +324,22 @@ class TestSearch:
         # A further call is a no-op returning the same set.
         again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
         assert [str(q) for q in again] == [str(q) for q in one_shot]
+
+    def test_resume_of_finished_run_builds_no_pool(self, tmp_path, monkeypatch):
+        cfg = cfg10()
+        ck = tmp_path / "checkpoint.txt"
+        rs = tmp_path / "results.txt"
+        first = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
+        assert "done=1" in ck.read_text()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a finished run must not build pools")
+
+        # `turynseq.search` as an attribute is the function, not the module.
+        monkeypatch.setattr(sys.modules["turynseq.search"], "build_pool", no_pool)
+        again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
+        assert first
+        assert [str(q) for q in again] == [str(q) for q in first]
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         ck = tmp_path / "checkpoint.txt"
