@@ -19,9 +19,9 @@ from turynseq import (
     fill_middle,
     generate_seeds,
     run_sweep,
-    search,
     sweep_configs,
 )
+from turynseq.search import search
 
 # A search run targets one row-sum decomposition at a time; here
 # (a, b, c, d) = (0, 0, 2, 5) with default boundary widths for n=10.
@@ -53,7 +53,9 @@ for quad in hits:
     print(" ", encode(quad, form="compact"), quad.row_sums())
 
 # fill_middle is the phase-two core, usable on its own: given a seed
-# and concrete C, D rows it streams every way to complete A and B.
+# and concrete C, D rows it streams the completions of A and B that
+# pass the canonical prefix pruning, every canonical completion among
+# them.
 quad = hits[0]
 seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
 completions = list(fill_middle(seed, quad.c, quad.d, cfg))

@@ -52,7 +52,6 @@ from .search import (
     fill_middle,
     generate_seeds,
     run_sweep,
-    search,
     sweep_configs,
 )
 from .seqs import (
@@ -105,7 +104,6 @@ __all__ = [
     "realizability_report",
     "row_sum",
     "run_sweep",
-    "search",
     "spectrum_value",
     "sweep_configs",
     "transform",

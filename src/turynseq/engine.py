@@ -16,11 +16,11 @@ terms (weights 1, 1, 2, 2).  Undetermined terms can move the final sum
 by at most U[s] in either direction, so a branch stays viable only
 while |P[s]| <= U[s] for every lag; when U[s] hits zero this forces
 the exact condition F(s) = 0.  (P[s] + U[s] is invariant mod 2 and
-starts even, so no parity check is needed.)  Every cut branch violates
-a necessary condition, hence no completion is ever lost.
+starts even, so no parity check is needed.)  Every branch cut this way
+violates a necessary condition, hence no completion is lost to it.
 
-With canonical pruning enabled the walk also restricts choices to the
-prefix-decidable parts of the canonical-form conditions:
+The walk also restricts choices to the prefix-decidable parts of the
+canonical-form conditions:
 
   * step 1 pins a_1 = a_n = b_1 = b_n = c_1 = d_1 = +1;
   * while A (or B) is end-symmetric so far, the first asymmetric pair
@@ -34,7 +34,9 @@ prefix-decidable parts of the canonical-form conditions:
 
 These are exactly the six canonical conditions restricted to decided
 entries, so with the full plan the leaves are precisely the canonical
-quadruples.
+quadruples; a plan that resumes after a preset prefix, with
+`start_flags` holding the prefix's scan state, keeps every canonical
+completion of that prefix.
 
 Engines are single-use: build one, run `walk` or `prefix_paths` once.
 """
@@ -42,7 +44,6 @@ Engines are single-use: build one, run `walk` or `prefix_paths` once.
 from __future__ import annotations
 
 _PAIR_ALL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_SINGLE_ALL = ((1, 0), (-1, 0))
 
 
 def full_plan(n: int) -> list[tuple[int, int]]:
@@ -68,11 +69,10 @@ def fill_plan(n: int, head_len: int) -> list[tuple[int, int]]:
 class PairDfs:
     """One depth-first walk over a plan of symmetric-pair assignments."""
 
-    def __init__(self, n, plan, canonical, preset=(), start_flags=(1, 1, 1, 1, 0)):
+    def __init__(self, n, plan, preset=(), start_flags=(1, 1, 1, 1, 0)):
         if n < 2 or n % 2:
             raise ValueError(f"pairwise walk needs even n >= 2, got {n}")
         self.n = n
-        self.canonical = canonical
         self.rows = [[0] * n, [0] * n, [0] * n, [0] * (n - 1)]
         self._pos = [[], [], [], []]
         self._weight = (1, 1, 2, 2)
@@ -198,10 +198,6 @@ class PairDfs:
     def _options(self, t):
         seq, k, j1, j2 = self._plan[t]
         fl = self._fl[t]
-        if not self.canonical:
-            if j2 < 0:
-                return [(1, 0, fl), (-1, 0, fl)]
-            return [(v1, v2, fl) for v1, v2 in _PAIR_ALL]
         sa, sb, ac, don, eps = fl
         if seq == 0:
             if k == 1:

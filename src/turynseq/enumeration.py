@@ -106,7 +106,7 @@ def _enumerate_worker(args):
     n, paths = args
     codes = []
     for path in paths:
-        eng = PairDfs(n, full_plan(n), canonical=True)
+        eng = PairDfs(n, full_plan(n))
         for _ in eng.walk(path):
             codes.append(_checked_code(eng.snapshot()))
     return codes
@@ -147,10 +147,10 @@ def enumerate_canonical(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1:
-        eng = PairDfs(n, full_plan(n), canonical=True)
+        eng = PairDfs(n, full_plan(n))
         codes = [_checked_code(eng.snapshot()) for _ in eng.walk()]
     else:
-        splitter = PairDfs(n, full_plan(n), canonical=True)
+        splitter = PairDfs(n, full_plan(n))
         paths = list(splitter.prefix_paths(4 * split_steps))
         batches = [(n, paths[i::jobs]) for i in range(jobs)]
         with Pool(jobs) as pool:

@@ -19,7 +19,13 @@ excluded by the bound (6n - 2)/2, nor any valid (C, D) pair by
 f_C + f_D <= bound.  Pools are bucketed by their boundary entries so a
 seed only meets candidates extending it exactly.  The middles of A and
 B are then filled by the pairwise walk with the remaining lag
-constraints enforced, which completes the quadruple.
+constraints and the canonical prefix pruning enforced; every canonical
+completion survives, so every class is still found through its
+canonical member.
+
+One driver serves both `search` (one row-sum target, with stop and
+checkpoint) and `run_sweep` (every target): a stream of per-seed hit
+lists in seed order, computed in this process or in worker processes.
 """
 
 from __future__ import annotations
@@ -172,15 +178,6 @@ class SeedQuad:
         h = self.d_head_len
         return (self.d[:h], self.d[len(self.d) - h :] if h else ())
 
-    def combined_lag_sum(self, s: int) -> int:
-        """Sum N_A + N_B + 2N_C + 2N_D at lag s over determined entries only."""
-        total = 0
-        for row, w in ((self.a, 1), (self.b, 1), (self.c, 2), (self.d, 2)):
-            total += w * sum(
-                row[j] * row[j + s] for j in range(len(row) - s)
-            )
-        return total
-
     def fill_flags(self) -> tuple[int, int, int, int, int]:
         """Canonical scan state after the boundary steps, for middle fill-in."""
         n = self.n
@@ -198,9 +195,7 @@ class SeedQuad:
 
 def generate_seeds(cfg: SearchConfig):
     """Stream every boundary seed exactly once, in a fixed deterministic order."""
-    eng = PairDfs(
-        cfg.n, seed_plan(cfg.n, cfg.head_len, cfg.d_head_len), canonical=True
-    )
+    eng = PairDfs(cfg.n, seed_plan(cfg.n, cfg.head_len, cfg.d_head_len))
     for _ in eng.walk():
         a, b, c, d = eng.snapshot()
         yield SeedQuad(a, b, c, d, cfg.head_len, cfg.d_head_len)
@@ -303,21 +298,6 @@ def build_pool(
     return SequencePool(kind, length, target_sum, bucket_len, buckets)
 
 
-def _fill_engine(seed: SeedQuad, c_row, d_row, canonical: bool) -> PairDfs:
-    n = seed.n
-    preset = [(2, j, int(v)) for j, v in enumerate(c_row)]
-    preset += [(3, j, int(v)) for j, v in enumerate(d_row)]
-    preset += [(0, j, v) for j, v in enumerate(seed.a) if v]
-    preset += [(1, j, v) for j, v in enumerate(seed.b) if v]
-    return PairDfs(
-        n,
-        fill_plan(n, seed.head_len),
-        canonical=canonical,
-        preset=preset,
-        start_flags=seed.fill_flags(),
-    )
-
-
 def _check_fill_args(seed: SeedQuad, c_entries, d_entries):
     n = seed.n
     if len(c_entries) != n or len(d_entries) != n - 1:
@@ -332,54 +312,42 @@ def _check_fill_args(seed: SeedQuad, c_entries, d_entries):
 
 
 def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq, cfg: SearchConfig):
-    """Stream every completion of A and B middles into a verified quadruple.
+    """Stream the verified completions of the A and B middles.
 
-    C and D must extend the seed's boundary entries; the caller is
-    expected to have applied the pair bound f_C + f_D <= spectral_bound.
+    The walk continues the canonical prefix pruning of the seeds, so it
+    streams only the completions whose A and B middles pass those
+    prefix conditions; every canonical completion is among them.  C and
+    D must extend the seed's boundary entries; the caller is expected to
+    have applied the pair bound f_C + f_D <= spectral_bound.
     """
     _check_fill_args(seed, c.entries, d.entries)
-    return _fill_completions(seed, c, d)
+    return _fill(seed, c.entries, d.entries)
 
 
-def _fill_completions(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
-    eng = _fill_engine(seed, c.entries, d.entries, canonical=False)
+def _fill(seed: SeedQuad, c_row, d_row):
+    """Walk the canonical-pruned A/B middle fill and verify each completion.
+
+    The class of every valid completion is still represented: a class's
+    canonical member extends its own boundary seed and survives the
+    pruning.
+    """
+    n = seed.n
+    preset = [(2, j, int(v)) for j, v in enumerate(c_row)]
+    preset += [(3, j, int(v)) for j, v in enumerate(d_row)]
+    preset += [(0, j, v) for j, v in enumerate(seed.a) if v]
+    preset += [(1, j, v) for j, v in enumerate(seed.b) if v]
+    eng = PairDfs(
+        n, fill_plan(n, seed.head_len), preset=preset, start_flags=seed.fill_flags()
+    )
     for _ in eng.walk():
-        rows = eng.snapshot()
-        quad = TurynQuad(
-            BinarySeq(rows[0]), BinarySeq(rows[1]), BinarySeq(rows[2]), BinarySeq(rows[3])
-        )
+        quad = TurynQuad(*(BinarySeq(row) for row in eng.snapshot()))
         if not verify_tt(quad):
             raise RuntimeError(f"fill-in emitted an invalid quadruple: {quad}")
         yield quad
 
 
-def _canonical_fill_codes(seed, c_row, d_row, cfg, ab_filter) -> list[str]:
-    """Compact codes of canonical quadruples from one (seed, C, D) triple.
-
-    Continues the canonical prefix pruning through the A/B middles and
-    keeps exactly the canonical completions, so the class of every valid
-    completion is still represented: a class's canonical member extends
-    its own boundary seed and passes every filter.
-    """
-    eng = _fill_engine(seed, c_row, d_row, canonical=True)
-    a_target, b_target = cfg.squares.a, cfg.squares.b
-    codes = []
-    for _ in eng.walk():
-        rows = eng.snapshot()
-        if ab_filter and (sum(rows[0]) != a_target or sum(rows[1]) != b_target):
-            continue
-        quad = TurynQuad(
-            BinarySeq(rows[0]), BinarySeq(rows[1]), BinarySeq(rows[2]), BinarySeq(rows[3])
-        )
-        if not verify_tt(quad):
-            raise RuntimeError(f"fill-in emitted an invalid quadruple: {quad}")
-        if is_canonical(quad):
-            codes.append(encode(quad, form="compact"))
-    return codes
-
-
-def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, ab_filter=True) -> list[str]:
-    """All canonical hits for one seed, in deterministic pool order."""
+def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, ab_filter) -> list[str]:
+    """Compact codes of all canonical hits for one seed, in pool order."""
     c_bucket = pool_c.buckets.get(seed.c_bucket_key())
     d_bucket = pool_d.buckets.get(seed.d_bucket_key())
     if c_bucket is None or d_bucket is None:
@@ -395,49 +363,43 @@ def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, ab_filter=True) -> list[st
             if ids.size:
                 pairs.append((ic, ids))
         pair_cache[key] = pairs
+    targets = (cfg.squares.a, cfg.squares.b)
     codes = []
     for ic, ids in pairs:
         c_row = c_bucket.rows[ic]
         for idx in ids:
-            codes.extend(
-                _canonical_fill_codes(seed, c_row, d_bucket.rows[idx], cfg, ab_filter)
-            )
+            for quad in _fill(seed, c_row, d_bucket.rows[idx]):
+                if ab_filter and quad.row_sums()[:2] != targets:
+                    continue
+                if is_canonical(quad):
+                    codes.append(encode(quad, form="compact"))
     return codes
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(cfg, pool_c, pool_d, ab_filter):
-    _WORKER_STATE["args"] = (cfg, pool_c, pool_d, ab_filter)
-    _WORKER_STATE["pair_cache"] = {}
+def _init_worker(*args):
+    _WORKER_STATE["args"] = args
 
 
-def _worker_batch(seeds):
-    cfg, pool_c, pool_d, ab_filter = _WORKER_STATE["args"]
-    cache = _WORKER_STATE["pair_cache"]
-    return [_seed_hits(seed, cfg, pool_c, pool_d, cache, ab_filter) for seed in seeds]
+def _worker_seed_hits(seed):
+    return _seed_hits(seed, *_WORKER_STATE["args"])
 
 
-def _map_seed_batches(batches, cfg, pool_c, pool_d, jobs, ab_filter):
-    """Yield per-seed hit lists batch by batch, in deterministic seed order."""
-    if jobs <= 1:
-        _init_worker(cfg, pool_c, pool_d, ab_filter)
-        for batch in batches:
-            yield _worker_batch(batch)
+def _hit_stream(seeds, cfg, pool_c, pool_d, jobs, ab_filter):
+    """Yield each seed's hit list, in seed order.
+
+    `ab_filter` keeps only completions with A's and B's target sums.
+    With `jobs == 1` a seed is pulled only when its hits are wanted;
+    worker processes take seeds in chunks of `_BATCH_SEEDS`.
+    """
+    args = (cfg, pool_c, pool_d, {}, ab_filter)
+    if jobs == 1:
+        yield from (_seed_hits(seed, *args) for seed in seeds)
         return
-    with ProcessPool(
-        jobs, initializer=_init_worker, initargs=(cfg, pool_c, pool_d, ab_filter)
-    ) as pool:
-        yield from pool.imap(_worker_batch, batches)
-
-
-def _batched(iterator, size):
-    while True:
-        batch = list(itertools.islice(iterator, size))
-        if not batch:
-            return
-        yield batch
+    with ProcessPool(jobs, initializer=_init_worker, initargs=args) as pool:
+        yield from pool.imap(_worker_seed_hits, seeds, chunksize=_BATCH_SEEDS)
 
 
 def _write_checkpoint(path, cfg, seed_index, done):
@@ -482,11 +444,14 @@ def search(
 ) -> list[TurynQuad]:
     """Run one configured search; returns canonical quadruples sorted by code.
 
-    With `checkpoint_path` the run records progress every 256 seeds and a
-    later call resumes where it stopped (the checkpoint is bound to the
-    config hash).  New hits are appended to `results_path` in listing
-    format as they are found.  `max_seeds_per_run` caps how many seeds
-    this call processes, leaving the rest for a resumed call.
+    Seeds are processed one at a time, so `cfg.stop_after` ends the run
+    at the seed that yields the last hit wanted.  New hits are appended
+    to `results_path` in listing format.  With `checkpoint_path` the run
+    records progress after every 256 seeds, at each seed with a new hit
+    and at the end, always after the hits it covers are written; a later
+    call resumes where it stopped (the checkpoint is bound to the config
+    hash).  `max_seeds_per_run` caps how many seeds this call processes,
+    leaving the rest for a resumed call.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -508,47 +473,36 @@ def search(
         with open(results_path, "w") as fh:
             fh.write(f"# search {cfg.describe()}\n")
 
-    seed_stream = itertools.islice(generate_seeds(cfg), start, None)
-    if max_seeds_per_run is not None:
-        seed_stream = itertools.islice(seed_stream, max_seeds_per_run)
+    stop = None if max_seeds_per_run is None else start + max_seeds_per_run
+    seeds = itertools.islice(generate_seeds(cfg), start, stop)
     processed = start
-    stopped = False
-    exhausted = True
-    batches = _batched(seed_stream, _BATCH_SEEDS)
-    batch_iter = _map_seed_batches(batches, cfg, pool_c, pool_d, jobs, True)
-    for hit_lists in batch_iter:
-        batch_size = len(hit_lists)
-        new_codes = []
-        for i, hits in enumerate(hit_lists):
-            for code in hits:
-                if code in found:
-                    continue
-                found[code] = None
-                new_codes.append(code)
-                if cfg.stop_after is not None and len(found) >= cfg.stop_after:
-                    stopped = True
-                    break
-            if stopped:
-                processed += i + 1
-                break
-        if not stopped:
-            processed += batch_size
+    new_codes: list[str] = []
+
+    def save(done):
+        # Hits first, so a checkpoint never covers a hit the file lacks.
         if results_path and new_codes:
             with open(results_path, "a") as fh:
                 base = len(found) - len(new_codes)
                 for offset, code in enumerate(new_codes, start=1):
                     fh.write(f"{base + offset} {code}\n")
+            new_codes.clear()
         if checkpoint_path:
-            _write_checkpoint(checkpoint_path, cfg, processed, stopped)
+            _write_checkpoint(checkpoint_path, cfg, processed, done)
+
+    stopped = False
+    for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, True):
+        processed += 1
+        for code in hits:
+            if code not in found and not stopped:
+                found[code] = None
+                new_codes.append(code)
+                stopped = cfg.stop_after is not None and len(found) >= cfg.stop_after
         if stopped:
-            exhausted = False
             break
-    else:
-        if max_seeds_per_run is not None:
-            # Ran out of this call's slice; only a full pass marks completion.
-            exhausted = processed - start < max_seeds_per_run
-    if checkpoint_path and not stopped:
-        _write_checkpoint(checkpoint_path, cfg, processed, exhausted)
+        if new_codes or (processed - start) % _BATCH_SEEDS == 0:
+            save(done=False)
+    # A stop or a full pass marks completion; the end of this call's slice does not.
+    save(done=stopped or stop is None or processed < stop)
     return [decode(code, cfg.n) for code in sorted(found)]
 
 
@@ -612,9 +566,6 @@ def run_sweep(
         pool_c, pool_d = pools[("C", c_sum)], pools[("D", d_sum)]
         if not pool_c.buckets or not pool_d.buckets:
             continue
-        for hit_lists in _map_seed_batches(
-            _batched(iter(seeds), _BATCH_SEEDS), cfg, pool_c, pool_d, jobs, False
-        ):
-            for hits in hit_lists:
-                codes.update(hits)
+        for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, False):
+            codes.update(hits)
     return ClassListing(n, tuple(sorted(codes)))

@@ -13,6 +13,7 @@ import pytest
 
 import turynseq
 from turynseq.codec import read_listing
+from turynseq.seqs import TernarySeq, naf_all
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -61,6 +62,20 @@ def load_reference_text(name: str) -> str:
 
 def load_reference_codes(name: str) -> list[str]:
     return [code for _, code in read_listing(load_reference_text(name))]
+
+
+def seed_lag_sum(seed, s: int) -> int:
+    """N_A + N_B + 2 N_C + 2 N_D at lag s over a seed's determined entries.
+
+    Undetermined entries are 0, so they add nothing; D (length n - 1)
+    has no lag n - 1.
+    """
+    total = 0
+    for row, weight in zip((seed.a, seed.b, seed.c, seed.d), (1, 1, 2, 2)):
+        nafs = naf_all(TernarySeq(row))
+        if s < len(nafs):
+            total += weight * nafs[s]
+    return total
 
 
 def child_env():

@@ -21,6 +21,7 @@ from conftest import (
     TT38_CODE,
     load_reference_codes,
     load_reference_text,
+    seed_lag_sum,
 )
 from turynseq.codec import decode
 from turynseq.constructions import base_to_t, tt_to_base, verify_base, verify_t
@@ -203,4 +204,4 @@ class TestAcceptance:
             assert len(sample) == 100
             for seed in sample:
                 for s in range(seed.n - seed.head_len, seed.n):
-                    assert seed.combined_lag_sum(s) == 0
+                    assert seed_lag_sum(seed, s) == 0

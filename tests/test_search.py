@@ -2,12 +2,25 @@
 
 import itertools
 import random
+import subprocess
 import sys
+import time
+import types
 
 import numpy as np
 import pytest
 
-from conftest import TT38_A, TT38_B, TT38_C, TT38_D, TT38_CODE, load_reference_codes
+import turynseq.search as search_module
+from conftest import (
+    TT38_A,
+    TT38_B,
+    TT38_C,
+    TT38_D,
+    TT38_CODE,
+    child_env,
+    load_reference_codes,
+    seed_lag_sum,
+)
 from turynseq.codec import decode, encode
 from turynseq.core import TurynQuad, verify_tt
 from turynseq.enumeration import Decomposition, FeasibilityError, enumerate_canonical
@@ -33,6 +46,22 @@ def tt38_quad() -> TurynQuad:
 def cfg10(**kw) -> SearchConfig:
     kw.setdefault("squares", Decomposition(0, 0, 2, 5))
     return SearchConfig(n=10, **kw)
+
+
+def checkpoint_fields(path) -> dict[str, str]:
+    """key=value fields of a checkpoint file; empty while it does not exist."""
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return {}
+    return dict(line.split("=", 1) for line in text.split())
+
+
+def test_module_path_binds_the_module():
+    import turynseq.search as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.search is search
 
 
 class TestSearchConfig:
@@ -100,7 +129,7 @@ class TestSeedQuad:
         cfg = cfg10(head_len=2, d_head_len=1)
         for seed in itertools.islice(generate_seeds(cfg), 25):
             for s in range(seed.n - seed.head_len, seed.n):
-                assert seed.combined_lag_sum(s) == 0
+                assert seed_lag_sum(seed, s) == 0
 
 
 class TestGenerateSeeds:
@@ -261,16 +290,19 @@ class TestFillMiddle:
         assert all(verify_tt(q) for q in fills)
         assert encode(quad, form="full") in {encode(q, form="full") for q in fills}
 
-    def test_every_output_extends_seed_and_verifies(self):
+    @pytest.mark.parametrize("code", load_reference_codes("reference_n10.txt"))
+    def test_every_output_extends_seed_and_verifies(self, code):
+        # The canonical pruning may drop completions, but never the
+        # class's own canonical member.
         cfg = cfg10()
-        listing = enumerate_canonical(10)
-        quad = decode(listing.codes[0], 10)
+        quad = decode(code, 10)
         seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
         outputs = list(fill_middle(seed, quad.c, quad.d, cfg))
-        assert outputs
+        assert quad in outputs
         for out in outputs:
             assert verify_tt(out)
             assert out.c == quad.c and out.d == quad.d
+            assert SeedQuad.from_quad(out, cfg.head_len, cfg.d_head_len) == seed
             assert tuple(out.a.entries[:2]) == seed.a[:2]
             assert tuple(out.b.entries[-2:]) == seed.b[-2:]
 
@@ -335,11 +367,32 @@ class TestSearch:
         def no_pool(*args, **kwargs):
             raise AssertionError("a finished run must not build pools")
 
-        # `turynseq.search` as an attribute is the function, not the module.
-        monkeypatch.setattr(sys.modules["turynseq.search"], "build_pool", no_pool)
+        monkeypatch.setattr(search_module, "build_pool", no_pool)
         again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
         assert first
         assert [str(q) for q in again] == [str(q) for q in first]
+
+    def test_stop_after_pulls_no_seed_past_the_hit(self, tmp_path, monkeypatch):
+        # Seeds were once filled in batches of 256 before stop_after was
+        # checked, so the run pulled (and filled) seeds past its hit.
+        pulled = 0
+        real_generate_seeds = search_module.generate_seeds
+
+        def counting(cfg):
+            nonlocal pulled
+            for seed in real_generate_seeds(cfg):
+                pulled += 1
+                yield seed
+
+        monkeypatch.setattr(search_module, "generate_seeds", counting)
+        cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3), stop_after=1)
+        ck = tmp_path / "checkpoint.txt"
+        hits = search(cfg, checkpoint_path=str(ck))
+        assert len(hits) == 1
+        fields = checkpoint_fields(ck)
+        assert fields["done"] == "1"
+        # The hit is at seed 65; the batched driver pulled 256.
+        assert pulled == int(fields["seed_index"])
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         ck = tmp_path / "checkpoint.txt"
@@ -357,6 +410,60 @@ class TestSearch:
         ck.write_text("seed_index=3\n")
         with pytest.raises(CheckpointError):
             search(cfg10(), checkpoint_path=str(ck))
+
+
+class TestKillAndResume:
+    # One n=16 target with 1,546 seeds and 17 hits: long enough to kill
+    # partway, short enough for the default suite.
+    CONFIG = "n = 16\nsquares = 8, -2, 2, 3\n"
+
+    def command(self, tmp_path, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG)
+        ck, out = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.txt"
+        argv = [sys.executable, "-m", "turynseq.cli", "search", str(cfg)]
+        return argv + ["--resume", str(ck), "--out", str(out)], ck, out
+
+    def run(self, argv):
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, env=child_env(), timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_killed_run_resumes_to_the_uninterrupted_listing(self, tmp_path):
+        argv, ck, out = self.command(tmp_path, "killed")
+        child = subprocess.Popen(
+            argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env()
+        )
+        killed = False
+        try:
+            deadline = time.monotonic() + 600
+            while child.poll() is None and time.monotonic() < deadline:
+                fields = checkpoint_fields(ck)
+                if fields.get("done") == "0" and int(fields["seed_index"]) >= 256:
+                    child.kill()
+                    killed = True
+                    break
+                time.sleep(0.01)
+        finally:
+            if child.poll() is None:
+                child.kill()
+            child.wait(timeout=60)
+        assert killed, "the search finished before it could be killed"
+
+        resumed = ""
+        for _ in range(10):
+            resumed = self.run(argv)
+            if checkpoint_fields(ck)["done"] == "1":
+                break
+        assert checkpoint_fields(ck)["done"] == "1"
+
+        full_argv, _, full_out = self.command(tmp_path, "uninterrupted")
+        full = self.run(full_argv)
+        assert ": 17 found" in resumed
+        assert ": 17 found" in full
+        assert out.read_bytes() == full_out.read_bytes()
 
 
 class TestSweep:
