@@ -46,19 +46,21 @@ print("D pool:", pool_d.total, "rows in", len(pool_d.buckets), "boundary buckets
 
 # The search joins seeds with pool rows matching their boundaries,
 # keeps (C, D) pairs with f_C + f_D below the bound, and completes the
-# A and B middles.  Results are canonical representatives.
+# A and B middles: with C and D fixed, A and B must satisfy
+# N_A + N_B = -2 (N_C + N_D) at every lag, a lookup between a table of
+# A rows and a table of B rows.  Results are canonical representatives.
 hits = search(cfg)
 print("\nfound", len(hits), "classes with row sums (0, 0, 2, 5):")
 for quad in hits:
     print(" ", encode(quad, form="compact"), quad.row_sums())
 
 # fill_middle is the phase-two core, usable on its own: given a seed
-# and concrete C, D rows it streams the completions of A and B that
-# pass the canonical prefix pruning, every canonical completion among
+# and concrete C, D rows it streams the completions whose A and B rows
+# pass their own canonical clauses, every canonical completion among
 # them.
 quad = hits[0]
 seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
-completions = list(fill_middle(seed, quad.c, quad.d, cfg))
+completions = list(fill_middle(seed, quad.c, quad.d))
 print("\ncompletions of the first hit's own seed and rows:", len(completions))
 
 # Sweeping every signed decomposition reproduces the full class list,
@@ -71,12 +73,14 @@ print("sweep reproduces the enumerated listing:", len(swept), "classes")
 
 # The same machinery scales to n=38: decode the known solution, mask
 # its middles, and phase two recovers the published A and B rows from
-# its boundary seed plus C and D in well under a second.
+# its boundary seed plus C and D in well under a second.  The middles
+# here have 24 entries, too many for 2^24-row tables, so they are
+# filled by the pairwise walk instead of the table lookup.
 code38 = "05128f55401f041adf7f65c53567822c9cb9c"
 cfg38 = SearchConfig(n=38, squares=(8, -4, 8, -3))
 known = decode(code38, 38)
 seed38 = SeedQuad.from_quad(known, cfg38.head_len, cfg38.d_head_len)
-refound = list(fill_middle(seed38, known.c, known.d, cfg38))
+refound = list(fill_middle(seed38, known.c, known.d))
 print("\nn=38 fill-in from the known boundary:", len(refound), "completion")
 assert [encode(q, form="compact") for q in refound] == [code38]
 print("it is exactly the published quadruple")

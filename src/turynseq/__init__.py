@@ -27,7 +27,6 @@ from .core import (
     TurynQuad,
     canonicalize,
     g_apply,
-    equivalent,
     g_mul,
     is_canonical,
     orbit,
@@ -90,7 +89,6 @@ __all__ = [
     "decompositions",
     "encode",
     "enumerate_canonical",
-    "equivalent",
     "fill_middle",
     "g_apply",
     "g_mul",

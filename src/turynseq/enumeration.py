@@ -22,7 +22,7 @@ import numpy as np
 from .codec import decode, encode, write_listing
 from .core import TurynQuad, g_apply, is_canonical, orbit, verify_tt, ALTERNATE
 from .engine import PairDfs, full_plan
-from .seqs import BinarySeq
+from .seqs import BinarySeq, naf_rows
 
 
 class FeasibilityError(ValueError):
@@ -170,17 +170,6 @@ def _pm_rows(length: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def _profiles(rows: np.ndarray) -> np.ndarray:
-    """Aperiodic autocorrelations at lags 1..L-1 for every row."""
-    count, length = rows.shape
-    out = np.zeros((count, length - 1), dtype=np.int16)
-    for s in range(1, length):
-        out[:, s - 1] = np.sum(
-            rows[:, : length - s].astype(np.int16) * rows[:, s:], axis=1
-        )
-    return out
-
-
 def brute_force_classes(n: int, limit: int = 8) -> tuple[int, ClassListing]:
     """Classes of length n by raw filtering over all 2^(4n-1) quadruples.
 
@@ -195,8 +184,8 @@ def brute_force_classes(n: int, limit: int = 8) -> tuple[int, ClassListing]:
         raise ValueError(f"brute force over 2^{4 * n - 1} quadruples refused (n > {limit})")
     rows_n = _pm_rows(n)
     rows_d = _pm_rows(n - 1)
-    prof_n = _profiles(rows_n)
-    prof_d = _profiles(rows_d)
+    prof_n = naf_rows(rows_n)
+    prof_d = naf_rows(rows_d)
     # Lags 1..n-1; D contributes nothing at lag n-1.
     prof_d_full = np.zeros((rows_d.shape[0], n - 1), dtype=np.int16)
     prof_d_full[:, : n - 2] = prof_d

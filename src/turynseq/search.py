@@ -17,11 +17,32 @@ j = 1..grid_points; since every f is nonnegative and the four spectra
 of a valid quadruple sum pointwise to 6n - 2, no valid row is ever
 excluded by the bound (6n - 2)/2, nor any valid (C, D) pair by
 f_C + f_D <= bound.  Pools are bucketed by their boundary entries so a
-seed only meets candidates extending it exactly.  The middles of A and
-B are then filled by the pairwise walk with the remaining lag
-constraints and the canonical prefix pruning enforced; every canonical
-completion survives, so every class is still found through its
-canonical member.
+seed only meets candidates extending it exactly.
+
+The A and B middles are then completed by a join.  Once C and D are
+fixed, A and B are independent: the quadruple is valid exactly when
+
+    N_A(s) + N_B(s) = T(s) = -2 (N_C(s) + N_D(s))   for s = 1..n-1.
+
+For each seed, a table holds every full A row over the 2^m middles
+(m = n - 2 head_len) with its NAF vector and an integer hash of it
+under a fixed linear projection, sorted by hash; B's table is built the
+same way.  For all spectrum-passing (C, D) pairs of the seed at once,
+hash(T) - hash(N_B) is looked up among A's hashes, and every match is
+confirmed by exact NAF equality and then by `verify_tt`.  No solution
+is lost: a table drops only rows failing that row's own canonical
+clause (every canonical quadruple passes it) or, in `search`, the
+target row sum (every hit kept there has it); the projection is linear,
+so each exact solution has matching hashes, and a hash collision fails
+the exact equality.  Every hit still passes `verify_tt` and
+`is_canonical`.
+
+Tables have 2^m rows, so the join serves m <= 16; at the default
+head_len that covers every target the pool cap admits (n <= 26, where
+m <= 14).  Longer middles (m = 24 at n = 38 with its 7-wide boundary)
+are filled instead by the pairwise walk, with the remaining lag
+constraints and the canonical prefix pruning enforced; it too keeps
+every canonical completion.  Both paths emit in the walk's order.
 
 One driver serves both `search` (one row-sum target, with stop and
 checkpoint) and `run_sweep` (every target): a stream of per-seed hit
@@ -37,17 +58,27 @@ import os
 from dataclasses import dataclass
 from multiprocessing import Pool as ProcessPool
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .codec import decode, encode, read_listing
-from .core import TurynQuad, is_canonical, verify_tt
+from .core import TurynQuad, _ab_clause, is_canonical, verify_tt
 from .engine import PairDfs, fill_plan, seed_plan
-from .enumeration import ClassListing, Decomposition, FeasibilityError, decompositions
-from .seqs import BinarySeq
+from .enumeration import (
+    ClassListing,
+    Decomposition,
+    FeasibilityError,
+    _pm_rows,
+    decompositions,
+)
+from .seqs import BinarySeq, naf_rows
 
 _SPECTRAL_TOL = 1e-6
 _BATCH_SEEDS = 256
+# Middles of up to this many entries are completed by the NAF join; its
+# A and B tables hold 2^m rows each, so longer middles are walked.
+_JOIN_MAX_MIDDLE = 16
 
 
 class CheckpointError(ValueError):
@@ -226,12 +257,7 @@ class SequencePool:
 
 def _chunk_spectra(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
     """f(theta_j) for each row: N(0) + 2 sum_s N(s) cos(s theta_j)."""
-    length = rows.shape[1]
-    wide = rows.astype(np.float64)
-    nafs = np.empty((rows.shape[0], length - 1))
-    for s in range(1, length):
-        nafs[:, s - 1] = np.sum(wide[:, : length - s] * wide[:, s:], axis=1)
-    return length + 2.0 * (nafs @ cos_table)
+    return rows.shape[1] + 2.0 * (naf_rows(rows).astype(np.float64) @ cos_table)
 
 
 def build_pool(
@@ -311,17 +337,17 @@ def _check_fill_args(seed: SeedQuad, c_entries, d_entries):
             raise ValueError(f"D boundary entry {j} differs from the seed")
 
 
-def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq, cfg: SearchConfig):
+def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
     """Stream the verified completions of the A and B middles.
 
-    The walk continues the canonical prefix pruning of the seeds, so it
-    streams only the completions whose A and B middles pass those
-    prefix conditions; every canonical completion is among them.  C and
-    D must extend the seed's boundary entries; the caller is expected to
-    have applied the pair bound f_C + f_D <= spectral_bound.
+    Every completion has A and B rows that pass their own canonical
+    clauses, so every canonical completion is among them.  C and D must
+    extend the seed's boundary entries; the caller is expected to have
+    applied the pair bound f_C + f_D <= spectral_bound.
     """
     _check_fill_args(seed, c.entries, d.entries)
-    return _fill(seed, c.entries, d.entries)
+    pairs = _pair_block(np.array([c.entries], np.int8), np.array([d.entries], np.int8))
+    return _completions(seed, pairs, {}, None)
 
 
 def _fill(seed: SeedQuad, c_row, d_row):
@@ -346,7 +372,110 @@ def _fill(seed: SeedQuad, c_row, d_row):
         yield quad
 
 
-def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, ab_filter) -> list[str]:
+class _Pairs(NamedTuple):
+    """(C, D) row pairs with the A/B NAF sum each one requires."""
+
+    c_rows: np.ndarray  # (P, n) int8
+    d_rows: np.ndarray  # (P, n - 1) int8
+    target: np.ndarray  # (P, n - 1) int16: -2 (N_C + N_D) at lags 1..n-1
+    target_hash: np.ndarray  # (P,) int64
+
+
+def _hash_weights(count: int) -> np.ndarray:
+    """The fixed projection that hashes a NAF vector: `count` int64 weights.
+
+    Built by integer arithmetic (importing numpy.random costs start-up
+    time and memory).  int64 array arithmetic wraps modulo 2^64, which
+    keeps the hash linear whatever the length.
+    """
+    return np.array(
+        [((s + 1) * 0x9E3779B97F4A7C15 >> 2) & ((1 << 62) - 1) for s in range(count)],
+        dtype=np.int64,
+    )
+
+
+def _pair_block(c_rows: np.ndarray, d_rows: np.ndarray) -> _Pairs:
+    target = naf_rows(c_rows)
+    target[:, :-1] += naf_rows(d_rows)  # D has no lag n - 1
+    target *= -2
+    return _Pairs(c_rows, d_rows, target, target @ _hash_weights(target.shape[1]))
+
+
+def _row_table(tables: dict, boundary: tuple, head_len: int, row_sum: int | None):
+    """A (or B) rows over every middle, with NAFs, sorted by NAF hash.
+
+    Keeps the full rows extending `boundary` that pass the row's own
+    canonical clause and, unless `row_sum` is None, have that sum.
+    Cached in `tables` per (boundary, row_sum).
+    """
+    key = (boundary, row_sum)
+    if key not in tables:
+        n = len(boundary)
+        rows = np.repeat(np.array([boundary], np.int8), 1 << (n - 2 * head_len), axis=0)
+        rows[:, head_len : n - head_len] = _pm_rows(n - 2 * head_len)
+        if row_sum is not None:
+            rows = rows[rows.sum(axis=1) == row_sum]
+        rows = rows[np.array([_ab_clause(tuple(row)) for row in rows.tolist()], bool)]
+        nafs = naf_rows(rows)
+        hashes = nafs @ _hash_weights(n - 1)
+        order = np.argsort(hashes, kind="stable")
+        tables[key] = (rows[order], nafs[order], hashes[order])
+    return tables[key]
+
+
+def _walk_order(quad: TurynQuad, head_len: int) -> tuple[int, ...]:
+    """Sort key of the order in which the walk emits completions."""
+    a, b, n = quad.a.entries, quad.b.entries, quad.n
+    return tuple(
+        -v for k in range(head_len, n // 2) for v in (a[k], a[n - 1 - k], b[k], b[n - 1 - k])
+    )
+
+
+def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
+    """Verified completions of the A and B middles for each (C, D) pair.
+
+    Middles of up to `_JOIN_MAX_MIDDLE` entries are joined: hash(N_A)
+    must equal hash(T) - hash(N_B), since the projection is linear, and
+    each hash match is confirmed by exact NAF equality.  Longer middles
+    are walked.  Both paths yield in the walk's order (pair by pair),
+    so results and `stop_after` do not depend on the path.  `row_sums`,
+    unless None, keeps only completions with A's and B's target sums.
+    """
+    h = seed.head_len
+    if seed.n - 2 * h > _JOIN_MAX_MIDDLE:
+        for c_row, d_row in zip(pairs.c_rows, pairs.d_rows):
+            for quad in _fill(seed, c_row, d_row):
+                if row_sums is None or quad.row_sums()[:2] == row_sums:
+                    yield quad
+        return
+    if not len(pairs.target):
+        return
+    sum_a, sum_b = (None, None) if row_sums is None else row_sums
+    rows_a, nafs_a, hash_a = _row_table(tables, seed.a, h, sum_a)
+    rows_b, nafs_b, hash_b = _row_table(tables, seed.b, h, sum_b)
+    if not (len(hash_a) and len(hash_b)):
+        return
+    wanted = pairs.target_hash[:, None] - hash_b[None, :]
+    lo = np.searchsorted(hash_a, wanted)
+    ip, ib = np.nonzero(hash_a[np.minimum(lo, len(hash_a) - 1)] == wanted)
+    lo = lo[ip, ib]
+    counts = np.searchsorted(hash_a, wanted[ip, ib], side="right") - lo
+    # One candidate per A row in each run of equal hashes.
+    ip, ib = np.repeat(ip, counts), np.repeat(ib, counts)
+    ia = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
+    hits = []
+    for p, a, b in zip(ip[exact].tolist(), ia[exact].tolist(), ib[exact].tolist()):
+        rows = (rows_a[a], rows_b[b], pairs.c_rows[p], pairs.d_rows[p])
+        hits.append((p, TurynQuad(*(BinarySeq(row) for row in rows))))
+    hits.sort(key=lambda hit: (hit[0], _walk_order(hit[1], h)))
+    for _, quad in hits:
+        if not verify_tt(quad):
+            raise RuntimeError(f"NAF join emitted an invalid quadruple: {quad}")
+        yield quad
+
+
+def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, tables, row_sums) -> list[str]:
     """Compact codes of all canonical hits for one seed, in pool order."""
     c_bucket = pool_c.buckets.get(seed.c_bucket_key())
     d_bucket = pool_d.buckets.get(seed.d_bucket_key())
@@ -356,24 +485,18 @@ def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, ab_filter) -> list[str]:
     pairs = pair_cache.get(key)
     if pairs is None:
         limit = cfg.spectral_bound + _SPECTRAL_TOL
-        pairs = []
-        for ic in range(c_bucket.rows.shape[0]):
-            sums = c_bucket.spectra[ic] + d_bucket.spectra
-            ids = np.nonzero(sums.max(axis=1) <= limit)[0]
-            if ids.size:
-                pairs.append((ic, ids))
+        partners = [
+            np.nonzero((spectrum + d_bucket.spectra).max(axis=1) <= limit)[0]
+            for spectrum in c_bucket.spectra
+        ]
+        ic = np.repeat(np.arange(len(partners)), [ids.size for ids in partners])
+        pairs = _pair_block(c_bucket.rows[ic], d_bucket.rows[np.concatenate(partners)])
         pair_cache[key] = pairs
-    targets = (cfg.squares.a, cfg.squares.b)
-    codes = []
-    for ic, ids in pairs:
-        c_row = c_bucket.rows[ic]
-        for idx in ids:
-            for quad in _fill(seed, c_row, d_bucket.rows[idx]):
-                if ab_filter and quad.row_sums()[:2] != targets:
-                    continue
-                if is_canonical(quad):
-                    codes.append(encode(quad, form="compact"))
-    return codes
+    return [
+        encode(quad, form="compact")
+        for quad in _completions(seed, pairs, tables, row_sums)
+        if is_canonical(quad)
+    ]
 
 
 _WORKER_STATE: dict = {}
@@ -387,14 +510,16 @@ def _worker_seed_hits(seed):
     return _seed_hits(seed, *_WORKER_STATE["args"])
 
 
-def _hit_stream(seeds, cfg, pool_c, pool_d, jobs, ab_filter):
+def _hit_stream(seeds, cfg, pool_c, pool_d, jobs, row_sums, tables):
     """Yield each seed's hit list, in seed order.
 
-    `ab_filter` keeps only completions with A's and B's target sums.
-    With `jobs == 1` a seed is pulled only when its hits are wanted;
-    worker processes take seeds in chunks of `_BATCH_SEEDS`.
+    `row_sums`, unless None, keeps only completions with A's and B's
+    target sums.  `tables` caches the A/B row tables of the calling run
+    (a worker process fills its own copy).  With `jobs == 1` a seed is
+    pulled only when its hits are wanted; worker processes take seeds in
+    chunks of `_BATCH_SEEDS`.
     """
-    args = (cfg, pool_c, pool_d, {}, ab_filter)
+    args = (cfg, pool_c, pool_d, {}, tables, row_sums)
     if jobs == 1:
         yield from (_seed_hits(seed, *args) for seed in seeds)
         return
@@ -490,7 +615,8 @@ def search(
             _write_checkpoint(checkpoint_path, cfg, processed, done)
 
     stopped = False
-    for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, True):
+    row_sums = (cfg.squares.a, cfg.squares.b)
+    for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, row_sums, {}):
         processed += 1
         for code in hits:
             if code not in found and not stopped:
@@ -556,6 +682,7 @@ def run_sweep(
     base = configs[0]
     seeds = list(generate_seeds(base))
     pools: dict[tuple[str, int], SequencePool] = {}
+    tables: dict = {}
     codes: set[str] = set()
     for c_sum, d_sum in targets:
         cfg = by_target[(c_sum, d_sum)]
@@ -566,6 +693,6 @@ def run_sweep(
         pool_c, pool_d = pools[("C", c_sum)], pools[("D", d_sum)]
         if not pool_c.buckets or not pool_d.buckets:
             continue
-        for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, False):
+        for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, None, tables):
             codes.update(hits)
     return ClassListing(n, tuple(sorted(codes)))

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _PM_CHARS = {"+": 1, "-": -1, "0": 0}
 
 
@@ -117,6 +119,16 @@ def naf_all(seq: Seq) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("NAF needs a nonempty sequence")
     return tuple(sum(e[j] * e[j + i] for j in range(m - i)) for i in range(m))
+
+
+def naf_rows(rows: np.ndarray) -> np.ndarray:
+    """N(1), ..., N(L-1) of every row of a (count, L) {-1, +1} matrix, as int16."""
+    wide = rows.astype(np.int16)
+    length = wide.shape[1]
+    out = np.empty((wide.shape[0], length - 1), dtype=np.int16)
+    for s in range(1, length):
+        np.sum(wide[:, : length - s] * wide[:, s:], axis=1, dtype=np.int16, out=out[:, s - 1])
+    return out
 
 
 def transform(seq: BinarySeq, kind: str) -> BinarySeq:

@@ -286,7 +286,7 @@ class TestFillMiddle:
         quad = tt38_quad()
         cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
         seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
-        fills = list(fill_middle(seed, quad.c, quad.d, cfg))
+        fills = list(fill_middle(seed, quad.c, quad.d))
         assert all(verify_tt(q) for q in fills)
         assert encode(quad, form="full") in {encode(q, form="full") for q in fills}
 
@@ -297,7 +297,7 @@ class TestFillMiddle:
         cfg = cfg10()
         quad = decode(code, 10)
         seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
-        outputs = list(fill_middle(seed, quad.c, quad.d, cfg))
+        outputs = list(fill_middle(seed, quad.c, quad.d))
         assert quad in outputs
         for out in outputs:
             assert verify_tt(out)
@@ -311,9 +311,85 @@ class TestFillMiddle:
         quad = decode(enumerate_canonical(10).codes[0], 10)
         seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
         with pytest.raises(ValueError, match="boundary"):
-            fill_middle(seed, quad.c.negate(), quad.d, cfg)
+            fill_middle(seed, quad.c.negate(), quad.d)
         with pytest.raises(ValueError, match="full rows"):
-            next(fill_middle(seed, quad.d, quad.d, cfg))
+            next(fill_middle(seed, quad.d, quad.d))
+
+
+class TestJoin:
+    @pytest.mark.parametrize(
+        "n, code",
+        [(10, code) for code in load_reference_codes("reference_n10.txt")]
+        + [(12, code) for code in load_reference_codes("reference_first12_n12.txt")],
+    )
+    def test_join_equals_walk_on_reference_rows(self, n, code):
+        quad = decode(code, n)
+        head_len = default_head_len(n)
+        seed = SeedQuad.from_quad(quad, head_len, head_len - 1)
+        c_rows, d_rows = (np.array([row.entries], np.int8) for row in (quad.c, quad.d))
+        pairs = search_module._pair_block(c_rows, d_rows)
+        joined = list(search_module._completions(seed, pairs, {}, None))
+        walked = list(search_module._fill(seed, quad.c.entries, quad.d.entries))
+        assert quad in joined
+        assert joined == walked
+
+    def test_join_keeps_walk_order_over_every_pair_of_a_seed(self):
+        # Results files and stop_after follow the emission order, so the
+        # join must emit in the walk's order across all pairs of a seed.
+        targets = {(cfg.squares.c, cfg.squares.d): cfg for cfg in sweep_configs(10)}
+        seeds = list(generate_seeds(cfg10()))
+        compared = 0
+        for (c_sum, d_sum), cfg in sorted(targets.items()):
+            pool_c = build_pool(10, "C", c_sum, cfg)
+            pool_d = build_pool(10, "D", d_sum, cfg)
+            for seed in seeds:
+                c_bucket = pool_c.buckets.get(seed.c_bucket_key())
+                d_bucket = pool_d.buckets.get(seed.d_bucket_key())
+                if c_bucket is None or d_bucket is None:
+                    continue
+                c_rows = np.repeat(c_bucket.rows, d_bucket.rows.shape[0], axis=0)
+                d_rows = np.tile(d_bucket.rows, (c_bucket.rows.shape[0], 1))
+                pairs = search_module._pair_block(c_rows, d_rows)
+                joined = list(search_module._completions(seed, pairs, {}, None))
+                walked = [
+                    quad
+                    for c_row, d_row in zip(c_rows, d_rows)
+                    for quad in search_module._fill(seed, c_row, d_row)
+                ]
+                assert joined == walked
+                compared += len(walked)
+        # 116 completions; 17 share their (C, D) pair with an earlier one.
+        assert compared == 116
+
+    def test_hash_collisions_are_settled_exactly(self, monkeypatch, reference_codes):
+        # An all-zero projection makes every pair and row collide.
+        monkeypatch.setattr(
+            search_module, "_hash_weights", lambda count: np.zeros(count, np.int64)
+        )
+        assert list(run_sweep(10).codes) == reference_codes[10]
+
+    def test_short_middles_never_walk(self, monkeypatch, reference_codes):
+        def no_walk(*args):
+            raise AssertionError("a middle of 6 entries must be joined")
+
+        monkeypatch.setattr(search_module, "_fill", no_walk)
+        assert list(run_sweep(10).codes) == reference_codes[10]
+
+    def test_row_sum_targets_filter_before_verify(self, monkeypatch):
+        # With (c, d) = (4, 3) the sums of A and B are fixed only up to
+        # sign: without the filter, 6 of the 10 completions found have
+        # other signed sums.
+        checked = []
+        real_verify_tt = search_module.verify_tt
+
+        def checking(quad):
+            checked.append(quad.row_sums()[:2])
+            return real_verify_tt(quad)
+
+        monkeypatch.setattr(search_module, "verify_tt", checking)
+        assert search(cfg10(squares=Decomposition(2, 2, 4, 3)))
+        assert checked
+        assert set(checked) == {(2, 2)}
 
 
 class TestSearch:

@@ -10,7 +10,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turynseq import (
     BinarySeq,
@@ -22,6 +25,7 @@ from turynseq import (
     spectrum_value,
     transform,
 )
+from turynseq.seqs import naf_rows
 
 
 def naf_oracle(entries, i):
@@ -35,6 +39,14 @@ def spectrum_oracle(entries, theta):
     # |A(e^{i*theta})|^2 with A(x) = sum_k a_k x^(k-1).
     z = cmath.exp(1j * theta)
     return abs(sum(v * z**k for k, v in enumerate(entries))) ** 2
+
+
+def pm_matrices(m):
+    """Strategy: (count, m) int8 matrices over {-1, +1}, count up to 6."""
+    row = st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)
+    return st.lists(row, max_size=6).map(
+        lambda rows: np.array(rows, np.int8).reshape(len(rows), m)
+    )
 
 
 def random_binary(rng, m):
@@ -112,6 +124,15 @@ class TestNaf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             naf_all(TernarySeq(()))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 40).flatmap(pm_matrices))
+    def test_row_matrix_kernel_matches_oracle(self, rows):
+        nafs = naf_rows(rows)
+        assert nafs.dtype == np.int16
+        assert nafs.shape == (rows.shape[0], rows.shape[1] - 1)
+        for row, prof in zip(rows.tolist(), nafs.tolist()):
+            assert prof == [naf_oracle(row, i) for i in range(1, len(row))]
 
 
 class TestTransforms:
