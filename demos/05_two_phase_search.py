@@ -38,7 +38,9 @@ print("boundary seeds:", len(seeds))
 # Phase two ingredient: pools of full C and D rows with the target
 # signed sum whose spectra stay below (6n-2)/2 on a grid.  The identity
 # f_A + f_B + 2 f_C + 2 f_D = 6n-2 with f >= 0 makes that bound safe:
-# no row belonging to a valid quadruple is ever filtered out.
+# no row belonging to a valid quadruple is ever filtered out.  A search
+# builds a pool bucket by bucket, from the middle entries, when a seed
+# first names a boundary; build_pool builds every bucket at once.
 pool_c = build_pool(10, "C", cfg.squares.c, cfg)
 pool_d = build_pool(10, "D", cfg.squares.d, cfg)
 print("C pool:", pool_c.total, "rows in", len(pool_c.buckets), "boundary buckets")

@@ -7,8 +7,8 @@ constraint (the combined lag sum vanishes for s >= n - head_len) and
 every prefix-decidable canonical condition.
 
 Phase two pairs each seed with full candidate rows for C and D drawn
-from precomputed pools.  A pool holds every full-length row with a given
-signed row sum whose spectrum
+from pools.  A pool holds the full-length rows with a given signed row
+sum whose spectrum
 
     f(theta) = N(0) + 2 sum_s N(s) cos(s theta)
 
@@ -17,7 +17,8 @@ j = 1..grid_points; since every f is nonnegative and the four spectra
 of a valid quadruple sum pointwise to 6n - 2, no valid row is ever
 excluded by the bound (6n - 2)/2, nor any valid (C, D) pair by
 f_C + f_D <= bound.  Pools are bucketed by their boundary entries so a
-seed only meets candidates extending it exactly.
+seed only meets candidates extending it exactly; a bucket is built, from
+its middle entries alone, when a seed first names its boundary.
 
 The A and B middles are then completed by a join.  Once C and D are
 fixed, A and B are independent: the quadruple is valid exactly when
@@ -37,10 +38,9 @@ so each exact solution has matching hashes, and a hash collision fails
 the exact equality.  Every hit still passes `verify_tt` and
 `is_canonical`.
 
-Tables have 2^m rows, so the join serves m <= 16; at the default
-head_len that covers every target the pool cap admits (n <= 26, where
-m <= 14).  Longer middles (m = 24 at n = 38 with its 7-wide boundary)
-are filled instead by the pairwise walk, with the remaining lag
+Tables have 2^m rows, so the join serves m <= 16 (n <= 28 at the
+default head_len).  Longer middles (m = 24 at n = 38 with its 7-wide
+boundary) are filled instead by the pairwise walk, with the remaining lag
 constraints and the canonical prefix pruning enforced; it too keeps
 every canonical completion.  Both paths emit in the walk's order.
 
@@ -51,6 +51,7 @@ lists in seed order, computed in this process or in worker processes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -76,6 +77,7 @@ from .seqs import BinarySeq, naf_rows
 
 _SPECTRAL_TOL = 1e-6
 _BATCH_SEEDS = 256
+_CAP_ROWS = 5_000_000
 # Middles of up to this many entries are completed by the NAF join; its
 # A and B tables hold 2^m rows each, so longer middles are walked.
 _JOIN_MAX_MIDDLE = 16
@@ -242,17 +244,78 @@ class PoolBucket:
 
 @dataclass(frozen=True)
 class SequencePool:
-    """All spectrum-passing rows of one kind and signed row sum, bucketed."""
+    """Spectrum-passing rows of one kind and signed row sum, by boundary.
+
+    `buckets` maps each boundary key built so far to its bucket, or to
+    None when no row passes.
+    """
 
     kind: str
     length: int
     target_sum: int
     bucket_len: int
     buckets: dict
+    cfg: SearchConfig
+    cap_rows: int
 
     @property
     def total(self) -> int:
-        return sum(bucket.rows.shape[0] for bucket in self.buckets.values())
+        return sum(b.rows.shape[0] for b in self.buckets.values() if b is not None)
+
+    @property
+    def negatives(self) -> int | None:
+        """-1 entries per row; None if the sum is impossible or f(0) = sum^2 fails."""
+        negatives, rem = divmod(self.length - self.target_sum, 2)
+        bound = self.cfg.spectral_bound + _SPECTRAL_TOL
+        if rem or not 0 <= negatives <= self.length or self.target_sum**2 > bound:
+            return None
+        return negatives
+
+    @functools.cached_property
+    def _cos_table(self) -> np.ndarray:
+        lags = np.arange(1, self.length)
+        grid = np.arange(1, self.cfg.grid_points + 1) * (np.pi / self.cfg.grid_points)
+        return np.cos(lags[:, None] * grid[None, :])
+
+    def _check_cap(self, count: int, what: str = "") -> None:
+        if count > self.cap_rows:
+            raise FeasibilityError(
+                f"{what}pool for {self.kind} with sum {self.target_sum} has {count} "
+                f"candidate rows (cap {self.cap_rows}); the cap can be raised only by "
+                "calling build_pool(..., cap_rows=...) from Python"
+            )
+
+    def bucket(self, key) -> PoolBucket | None:
+        """The passing rows extending boundary `key`, built on first use."""
+        if key not in self.buckets:
+            self.buckets[key] = self._build_bucket(key)
+        return self.buckets[key]
+
+    def _build_bucket(self, key) -> PoolBucket | None:
+        # Only the middle varies.  Its combinations of -1 positions come in
+        # the lexicographic order the full-row scan has within a bucket.
+        head, tail = key
+        h = self.bucket_len
+        middle = self.length - 2 * h
+        negatives = self.negatives
+        if negatives is None:
+            return None
+        negatives -= (head + tail).count(-1)
+        if not 0 <= negatives <= middle:
+            return None
+        self._check_cap(math.comb(middle, negatives), f"bucket {key} of ")
+        template = np.array(head + (1,) * middle + tail, np.int8)
+        kept = []
+        combos = itertools.combinations(range(h, h + middle), negatives)
+        while chunk := list(itertools.islice(combos, 4096)):
+            rows = np.repeat(template[None], len(chunk), axis=0)
+            positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
+            rows[np.arange(len(chunk))[:, None], positions] = -1
+            spectra = _chunk_spectra(rows, self._cos_table)
+            mask = spectra.max(axis=1) <= self.cfg.spectral_bound + _SPECTRAL_TOL
+            kept.append((rows[mask], spectra[mask]))
+        rows, spectra = (np.concatenate(parts) for parts in zip(*kept))
+        return PoolBucket(rows, spectra) if len(rows) else None
 
 
 def _chunk_spectra(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
@@ -260,68 +323,38 @@ def _chunk_spectra(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
     return rows.shape[1] + 2.0 * (naf_rows(rows).astype(np.float64) @ cos_table)
 
 
+def _lazy_pool(n, kind, target_sum, cfg, cap_rows=_CAP_ROWS) -> SequencePool:
+    """A pool holding no rows yet; its buckets are built as they are asked for."""
+    if kind not in ("C", "D"):
+        raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
+    length, bucket_len = (n, cfg.head_len) if kind == "C" else (n - 1, cfg.d_head_len)
+    return SequencePool(kind, length, target_sum, bucket_len, {}, cfg, cap_rows)
+
+
 def build_pool(
     n: int,
     kind: str,
     target_sum: int,
     cfg: SearchConfig,
-    cap_rows: int = 5_000_000,
+    cap_rows: int = _CAP_ROWS,
 ) -> SequencePool:
     """All full rows of the given kind and signed sum passing the grid bound.
 
     C rows have length n, D rows length n - 1.  Buckets are keyed by the
-    (first, last) `head_len` entries (`d_head_len` for D).  A row sum
-    whose square already exceeds the bound (f(0) = sum^2) gives an empty
-    pool, as does a sum of impossible parity or magnitude.
+    (first, last) `head_len` entries (`d_head_len` for D); every bucket
+    with a row is built.  A row sum whose square already exceeds the
+    bound (f(0) = sum^2) gives an empty pool, as does a sum of impossible
+    parity or magnitude.
     """
-    if kind not in ("C", "D"):
-        raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
-    length = n if kind == "C" else n - 1
-    bucket_len = cfg.head_len if kind == "C" else cfg.d_head_len
-    empty = SequencePool(kind, length, target_sum, bucket_len, {})
-    negatives, rem = divmod(length - target_sum, 2)
-    if rem or not 0 <= negatives <= length:
-        return empty
-    if target_sum * target_sum > cfg.spectral_bound + _SPECTRAL_TOL:
-        return empty
-    count = math.comb(length, negatives)
-    if count > cap_rows:
-        raise FeasibilityError(
-            f"pool for {kind} with sum {target_sum} has {count} candidate rows "
-            f"(cap {cap_rows}); the cap can be raised only by calling "
-            "build_pool(..., cap_rows=...) from Python"
-        )
-    lags = np.arange(1, length)
-    grid = np.arange(1, cfg.grid_points + 1) * (np.pi / cfg.grid_points)
-    cos_table = np.cos(lags[:, None] * grid[None, :])
-    kept_rows, kept_spectra = [], []
-    combos = itertools.combinations(range(length), negatives)
-    while True:
-        chunk = list(itertools.islice(combos, 4096))
-        if not chunk:
-            break
-        rows = np.ones((len(chunk), length), dtype=np.int8)
-        for i, neg_positions in enumerate(chunk):
-            rows[i, list(neg_positions)] = -1
-        spectra = _chunk_spectra(rows, cos_table)
-        mask = spectra.max(axis=1) <= cfg.spectral_bound + _SPECTRAL_TOL
-        if mask.any():
-            kept_rows.append(rows[mask])
-            kept_spectra.append(spectra[mask])
-    if not kept_rows:
-        return empty
-    all_rows = np.concatenate(kept_rows)
-    all_spectra = np.concatenate(kept_spectra)
-    groups: dict[tuple, list[int]] = {}
-    for i in range(all_rows.shape[0]):
-        head = tuple(int(v) for v in all_rows[i, :bucket_len])
-        tail = tuple(int(v) for v in all_rows[i, length - bucket_len :]) if bucket_len else ()
-        groups.setdefault((head, tail), []).append(i)
-    buckets = {
-        key: PoolBucket(all_rows[idx], all_spectra[idx])
-        for key, idx in groups.items()
-    }
-    return SequencePool(kind, length, target_sum, bucket_len, buckets)
+    pool = _lazy_pool(n, kind, target_sum, cfg, cap_rows)
+    if pool.negatives is None:
+        return pool
+    pool._check_cap(math.comb(pool.length, pool.negatives))
+    boundary = itertools.product((1, -1), repeat=pool.bucket_len)
+    for key in itertools.product(list(boundary), repeat=2):
+        if pool.bucket(key) is None:
+            del pool.buckets[key]
+    return pool
 
 
 def _check_fill_args(seed: SeedQuad, c_entries, d_entries):
@@ -477,9 +510,9 @@ def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
 
 def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, tables, row_sums) -> list[str]:
     """Compact codes of all canonical hits for one seed, in pool order."""
-    c_bucket = pool_c.buckets.get(seed.c_bucket_key())
-    d_bucket = pool_d.buckets.get(seed.d_bucket_key())
-    if c_bucket is None or d_bucket is None:
+    c_bucket = pool_c.bucket(seed.c_bucket_key())
+    d_bucket = None if c_bucket is None else pool_d.bucket(seed.d_bucket_key())
+    if d_bucket is None:
         return []
     key = (seed.c_bucket_key(), seed.d_bucket_key())
     pairs = pair_cache.get(key)
@@ -592,8 +625,8 @@ def search(
     if done:
         # A finished run needs no pools.
         return [decode(code, cfg.n) for code in sorted(found)]
-    pool_c = build_pool(cfg.n, "C", cfg.squares.c, cfg)
-    pool_d = build_pool(cfg.n, "D", cfg.squares.d, cfg)
+    pool_c = _lazy_pool(cfg.n, "C", cfg.squares.c, cfg)
+    pool_d = _lazy_pool(cfg.n, "D", cfg.squares.d, cfg)
     if results_path and not resuming:
         with open(results_path, "w") as fh:
             fh.write(f"# search {cfg.describe()}\n")
@@ -686,12 +719,9 @@ def run_sweep(
     codes: set[str] = set()
     for c_sum, d_sum in targets:
         cfg = by_target[(c_sum, d_sum)]
-        if ("C", c_sum) not in pools:
-            pools[("C", c_sum)] = build_pool(n, "C", c_sum, cfg)
-        if ("D", d_sum) not in pools:
-            pools[("D", d_sum)] = build_pool(n, "D", d_sum, cfg)
-        pool_c, pool_d = pools[("C", c_sum)], pools[("D", d_sum)]
-        if not pool_c.buckets or not pool_d.buckets:
+        pool_c = pools.setdefault(("C", c_sum), _lazy_pool(n, "C", c_sum, cfg))
+        pool_d = pools.setdefault(("D", d_sum), _lazy_pool(n, "D", d_sum, cfg))
+        if pool_c.negatives is None or pool_d.negatives is None:
             continue
         for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, None, tables):
             codes.update(hits)

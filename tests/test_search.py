@@ -250,6 +250,45 @@ class TestBuildPool:
         with pytest.raises(ValueError):
             build_pool(10, "E", 0, cfg10())
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_lazy_buckets_equal_filtered_full_rows(self, n):
+        # Expected buckets come from scanning every full row of the sum in
+        # combinations order, with spectra from an FFT on the same grid.
+        cfg = sweep_configs(n)[0]  # pools depend on n and the widths only
+        limit = cfg.spectral_bound + 1e-6
+        g = cfg.grid_points
+        for kind, length, h in (("C", n, cfg.head_len), ("D", n - 1, cfg.d_head_len)):
+            for target_sum in range(-length, length + 1, 2):
+                expected: dict[tuple, list] = {}
+                negatives = (length - target_sum) // 2
+                for negs in itertools.combinations(range(length), negatives):
+                    row = np.ones(length)
+                    row[list(negs)] = -1
+                    spectrum = np.abs(np.fft.rfft(row, 2 * g)[1 : g + 1]) ** 2
+                    if spectrum.max() <= limit:
+                        ends = row[:h].astype(int), row[length - h :].astype(int)
+                        key = tuple(map(tuple, ends))
+                        expected.setdefault(key, []).append((row, spectrum))
+                pool = search_module._lazy_pool(n, kind, target_sum, cfg)
+                boundary = list(itertools.product((1, -1), repeat=h))
+                for key in itertools.product(boundary, repeat=2):
+                    bucket = pool.bucket(key)
+                    if key not in expected:
+                        assert bucket is None, (kind, target_sum, key)
+                        continue
+                    rows, spectra = zip(*expected[key])
+                    assert np.array_equal(bucket.rows, np.array(rows, np.int8))
+                    np.testing.assert_allclose(
+                        bucket.spectra, np.array(spectra), rtol=0, atol=1e-9
+                    )
+                assert pool.total == sum(map(len, expected.values()))
+
+    def test_bucket_row_cap_refusal(self):
+        # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates.
+        pool = search_module._lazy_pool(10, "C", 2, cfg10(), cap_rows=5)
+        with pytest.raises(FeasibilityError, match="15 candidate rows .cap 5."):
+            pool.bucket(((1, 1), (1, 1)))
+
 
 class TestSpectralSoundness:
     def test_pointwise_identity_on_all_tt10(self, reference_codes):
@@ -443,7 +482,7 @@ class TestSearch:
         def no_pool(*args, **kwargs):
             raise AssertionError("a finished run must not build pools")
 
-        monkeypatch.setattr(search_module, "build_pool", no_pool)
+        monkeypatch.setattr(search_module.SequencePool, "_build_bucket", no_pool)
         again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
         assert first
         assert [str(q) for q in again] == [str(q) for q in first]
@@ -469,6 +508,46 @@ class TestSearch:
         assert fields["done"] == "1"
         # The hit is at seed 65; the batched driver pulled 256.
         assert pulled == int(fields["seed_index"])
+
+    def test_hunt_builds_only_the_buckets_its_seeds_name(self, monkeypatch):
+        pulled = []
+        real_generate_seeds = search_module.generate_seeds
+
+        def recording(cfg):
+            for seed in real_generate_seeds(cfg):
+                pulled.append(seed)
+                yield seed
+
+        built = []
+        real_build = search_module.SequencePool._build_bucket
+
+        def counting(pool, key):
+            built.append((pool.kind, key))
+            return real_build(pool, key)
+
+        monkeypatch.setattr(search_module, "generate_seeds", recording)
+        monkeypatch.setattr(search_module.SequencePool, "_build_bucket", counting)
+        cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3), stop_after=1)
+        assert len(search(cfg)) == 1
+        c_keys = {seed.c_bucket_key() for seed in pulled}
+        d_keys = {seed.d_bucket_key() for seed in pulled}
+        assert len(built) == len(set(built))
+        assert {key for kind, key in built if kind == "C"} <= c_keys
+        assert {key for kind, key in built if kind == "D"} <= d_keys
+        # 65 seeds name 6 of the 235 non-empty C buckets and 3 of the 61 D.
+        assert (len(c_keys), len(d_keys)) == (6, 3)
+
+    def test_paper_scale_target_runs(self, tmp_path):
+        # The whole C pool of sum 8 at n=28 has comb(28, 10) = 13,123,110
+        # candidate rows; one bucket's middle has at most comb(16, 8).
+        cfg = SearchConfig(n=28, squares=Decomposition(4, 2, 8, -3))
+        ck = tmp_path / "checkpoint.txt"
+        assert search(cfg, checkpoint_path=str(ck), max_seeds_per_run=8) == []
+        assert checkpoint_fields(ck) == {
+            "config": cfg.run_hash(),
+            "seed_index": "8",
+            "done": "0",
+        }
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         ck = tmp_path / "checkpoint.txt"
