@@ -2,9 +2,11 @@
 Enumerating every equivalence class
 ===================================
 
-A pruned two-ended depth-first search lists exactly one canonical
-representative per equivalence class.  Small n finish in milliseconds;
-n=12 takes a few seconds and n=14 a few minutes in pure Python.
+The two-phase sweep (boundary seeds, spectrally filtered C/D rows and a
+join that completes the A/B middles, over every row-sum target) lists
+exactly one canonical representative per equivalence class.  n <= 12
+finishes in a fraction of a second, n=14 in about half a second and
+n=16 in a few seconds.
 """
 
 from turynseq import (
@@ -27,7 +29,7 @@ for n in (2, 4, 6, 8, 10):
 print("\n" + enumerate_canonical(6).to_text())
 
 # An independent oracle for tiny n: group ALL valid quadruples into
-# orbits by brute force and count.  It agrees with the pruned search.
+# orbits by brute force and count.  It agrees with the sweep.
 count, listing = brute_force_classes(6)
 assert count == 4 and listing.codes == enumerate_canonical(6).codes
 print("brute-force oracle agrees at n=6:", count, "classes")

@@ -38,7 +38,7 @@ quadruples; a plan that resumes after a preset prefix, with
 `start_flags` holding the prefix's scan state, keeps every canonical
 completion of that prefix.
 
-Engines are single-use: build one, run `walk` or `prefix_paths` once.
+Engines are single-use: build one, run `walk` once.
 """
 
 from __future__ import annotations
@@ -259,19 +259,25 @@ class PairDfs:
 
     # -- walks --------------------------------------------------------
 
-    def _iterate(self, t0, t_end):
-        """Depth-first over plan items [t0, t_end); yields at complete depth."""
-        if t0 == t_end:
-            yield None
+    def walk(self):
+        """Depth-first over the whole plan.
+
+        Yields once per surviving complete assignment; read the state of
+        `rows` at each yield.  Single use.
+        """
+        if not self.preset_ok:
             return
-        span = t_end
-        oi = [0] * span
-        opts = [None] * span
-        opts[t0] = self._options(t0)
-        t = t0
+        t_end = len(self._plan)
+        if t_end == 0:
+            yield
+            return
+        oi = [0] * t_end
+        opts = [None] * t_end
+        opts[0] = self._options(0)
+        t = 0
         while True:
             if oi[t] == len(opts[t]):
-                if t == t0:
+                if t == 0:
                     return
                 t -= 1
                 self._undo(t)
@@ -279,7 +285,7 @@ class PairDfs:
                 continue
             if self._apply(t, opts[t][oi[t]]):
                 if t == t_end - 1:
-                    yield tuple(oi[t0 : t + 1])
+                    yield
                     self._undo(t)
                     oi[t] += 1
                 else:
@@ -288,31 +294,6 @@ class PairDfs:
                     opts[t] = self._options(t)
             else:
                 oi[t] += 1
-
-    def walk(self, path=()):
-        """Run the search below a (possibly empty) prefix path of option indices.
-
-        Yields once per surviving complete assignment; read the state of
-        `rows` at each yield.  Single use.
-        """
-        if not self.preset_ok:
-            return
-        for t, choice in enumerate(path):
-            opts = self._options(t)
-            if not self._apply(t, opts[choice]):
-                raise RuntimeError(f"prefix path {path!r} is not viable at item {t}")
-        yield from self._iterate(len(path), len(self._plan))
-
-    def prefix_paths(self, items):
-        """All viable option-index paths through the first `items` plan items.
-
-        Used to split the walk into independent subtrees; replaying a
-        yielded path in a fresh engine restores the exact subtree root.
-        Single use.
-        """
-        if not self.preset_ok:
-            return
-        yield from self._iterate(0, min(items, len(self._plan)))
 
     def snapshot(self):
         """Current rows as tuples (A, B, C, D entries; 0 marks unassigned)."""

@@ -1,12 +1,14 @@
-"""Exhaustive enumeration of equivalence classes and small-n cross-checks.
+"""Enumeration of equivalence classes and small-n cross-checks.
 
-`enumerate_canonical` walks the pairwise two-ended search with canonical
-pruning switched on, so it visits exactly one member of every
-equivalence class and returns the sorted compact codes.  `brute_force_classes`
-recomputes the same classes for tiny n by raw constraint filtering over
-all 2^(4n-1) quadruples (meet-in-the-middle over the defining identity),
-entirely independent of the search engine, the group-action code path
-being the only shared ingredient.
+`enumerate_canonical` lists the canonical representative of every
+equivalence class at length n, as sorted compact codes.  It runs the
+two-phase sweep of `search.run_sweep` (boundary seeds, spectrally
+filtered C/D pools, and the A/B middle join), which keeps every
+canonical quadruple.  `brute_force_classes` recomputes the same classes
+for tiny n by raw constraint filtering over all 2^(4n-1) quadruples
+(meet-in-the-middle over the defining identity), entirely independent
+of the search, the group-action code path being the only shared
+ingredient.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import NamedTuple
 
 import numpy as np
 
 from .codec import decode, encode, write_listing
 from .core import TurynQuad, g_apply, is_canonical, orbit, verify_tt, ALTERNATE
-from .engine import PairDfs, full_plan
 from .seqs import BinarySeq, naf_rows
 
 
@@ -88,53 +88,27 @@ class ClassListing:
         )
 
 
-def _quad_from_rows(rows) -> TurynQuad:
-    a, b, c, d = rows
-    return TurynQuad(BinarySeq(a), BinarySeq(b), BinarySeq(c), BinarySeq(d))
-
-
-def _checked_code(rows) -> str:
-    quad = _quad_from_rows(rows)
-    if not verify_tt(quad):
-        raise RuntimeError(f"search walk produced an invalid quadruple: {quad}")
-    if not is_canonical(quad):
-        raise RuntimeError(f"search walk produced a non-canonical quadruple: {quad}")
-    return encode(quad, form="compact")
-
-
-def _enumerate_worker(args):
-    n, paths = args
-    codes = []
-    for path in paths:
-        eng = PairDfs(n, full_plan(n))
-        for _ in eng.walk(path):
-            codes.append(_checked_code(eng.snapshot()))
-    return codes
-
-
-# Full-DFS wall times measured 2026-10-17 on a 2-core machine with
-# Python 3.11: n = 10 took 0.8 s, n = 12 15.5 s and n = 14 410 s, about
-# 20x per length step.
-_MEASURED_N, _MEASURED_S, _STEP_RATIO = 14, 410.0, 20.0
+# run_sweep wall times measured 2026-10-18 on a 2-core machine with
+# Python 3.11 and one BLAS thread: n = 16 took 3.2 s, n = 18 33 s and
+# n = 20 836 s.  The step grows with n, so the last one (25x) is used.
+_MEASURED_N, _MEASURED_S, _STEP_RATIO = 20, 836.0, 25.0
 
 
 def _runtime_estimate(n: int) -> str:
     hours = _MEASURED_S / 3600.0 * _STEP_RATIO ** ((n - _MEASURED_N) / 2)
     if hours < 48:
-        return f"roughly {hours:.0f} hours"
+        return f"roughly {hours:.1f} hours"
     return f"roughly {hours / 24:.0f} days"
 
 
-def enumerate_canonical(
-    n: int, jobs: int = 1, cap: int = 20, split_steps: int = 2
-) -> ClassListing:
+def enumerate_canonical(n: int, jobs: int = 1, cap: int = 20) -> ClassListing:
     """All canonical representatives of length n as a sorted listing.
 
-    Refuses n beyond `cap` (the walk grows ~20x per length step, and
-    n = 14 takes about 7 minutes); raise the cap explicitly to run
-    longer jobs.  `jobs` > 1 splits the walk at depth
-    `split_steps` steps into independent subtrees run across processes;
-    the result is independent of the split.
+    Runs the two-phase sweep (`run_sweep`) with `jobs` processes; n = 2
+    has no boundary seeds, so its one class comes from
+    `brute_force_classes`.  Refuses n beyond `cap` (n = 20 takes about
+    14 minutes, and the sweep grows about 25x per length step there);
+    raise the cap explicitly to run longer jobs.
     """
     if n < 2 or n % 2:
         raise ValueError(f"enumeration needs even n >= 2, got {n}")
@@ -146,21 +120,11 @@ def enumerate_canonical(
         )
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1:
-        eng = PairDfs(n, full_plan(n))
-        codes = [_checked_code(eng.snapshot()) for _ in eng.walk()]
-    else:
-        splitter = PairDfs(n, full_plan(n))
-        paths = list(splitter.prefix_paths(4 * split_steps))
-        batches = [(n, paths[i::jobs]) for i in range(jobs)]
-        with Pool(jobs) as pool:
-            parts = pool.map(_enumerate_worker, batches)
-        codes = [code for part in parts for code in part]
-    codes.sort()
-    for prev, cur in itertools.pairwise(codes):
-        if prev == cur:
-            raise RuntimeError(f"duplicate canonical representative {cur!r}")
-    return ClassListing(n, tuple(codes))
+    if n == 2:
+        return brute_force_classes(2)[1]
+    from .search import run_sweep  # search imports this module
+
+    return run_sweep(n, jobs=jobs)
 
 
 def _pm_rows(length: int) -> np.ndarray:

@@ -45,19 +45,18 @@ constraints and the canonical prefix pruning enforced; it too keeps
 every canonical completion.  Both paths emit in the walk's order.
 
 One driver serves both `search` (one row-sum target, with stop and
-checkpoint) and `run_sweep` (every target): a stream of per-seed hit
-lists in seed order, computed in this process or in worker processes.
+checkpoint) and `run_sweep` (every target, which `enumerate_canonical`
+runs): a stream of hit lists for (target, seed) items in order,
+computed in this process or in one pool of worker processes.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool as ProcessPool
 from pathlib import Path
 from typing import NamedTuple
 
@@ -143,6 +142,8 @@ class SearchConfig:
         )
 
     def run_hash(self) -> str:
+        import hashlib  # loads OpenSSL; only checkpoints need it
+
         return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
 
 
@@ -532,32 +533,70 @@ def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, tables, row_sums) -> list[
     ]
 
 
+class _SeedWork:
+    """One process's state for the hits of (target, seed) work items.
+
+    Target t is `configs[t]`.  Pools and A/B tables are built on demand
+    and kept for the run; the (C, D) pair cache holds only the current
+    target's pairs.  With `fix_ab`, only completions with the target's
+    A and B sums are kept.
+    """
+
+    def __init__(self, configs: list[SearchConfig], fix_ab: bool):
+        self.configs = configs
+        self.fix_ab = fix_ab
+        self.pools: dict[tuple[str, int], SequencePool] = {}
+        self.tables: dict = {}
+        self.target = None
+        self.pair_cache: dict = {}
+
+    def _pool(self, kind: str, cfg: SearchConfig) -> SequencePool:
+        target_sum = cfg.squares.c if kind == "C" else cfg.squares.d
+        key = (kind, target_sum)
+        if key not in self.pools:
+            self.pools[key] = _lazy_pool(cfg.n, kind, target_sum, cfg)
+        return self.pools[key]
+
+    def live(self, target: int) -> bool:
+        """False when the target's C or D pool can hold no row."""
+        cfg = self.configs[target]
+        return all(self._pool(kind, cfg).negatives is not None for kind in "CD")
+
+    def hits(self, item) -> list[str]:
+        target, seed = item
+        if target != self.target:
+            self.target, self.pair_cache = target, {}
+        cfg = self.configs[target]
+        row_sums = (cfg.squares.a, cfg.squares.b) if self.fix_ab else None
+        pool_c, pool_d = self._pool("C", cfg), self._pool("D", cfg)
+        return _seed_hits(seed, cfg, pool_c, pool_d, self.pair_cache, self.tables, row_sums)
+
+
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(*args):
-    _WORKER_STATE["args"] = args
+def _init_worker(configs, fix_ab):
+    _WORKER_STATE["work"] = _SeedWork(configs, fix_ab)
 
 
-def _worker_seed_hits(seed):
-    return _seed_hits(seed, *_WORKER_STATE["args"])
+def _worker_hits(item):
+    return _WORKER_STATE["work"].hits(item)
 
 
-def _hit_stream(seeds, cfg, pool_c, pool_d, jobs, row_sums, tables):
-    """Yield each seed's hit list, in seed order.
+def _hit_stream(items, configs, jobs, fix_ab):
+    """Yield the hit list of each (target, seed) item, in item order.
 
-    `row_sums`, unless None, keeps only completions with A's and B's
-    target sums.  `tables` caches the A/B row tables of the calling run
-    (a worker process fills its own copy).  With `jobs == 1` a seed is
-    pulled only when its hits are wanted; worker processes take seeds in
-    chunks of `_BATCH_SEEDS`.
+    With `jobs == 1` an item is pulled only when its hits are wanted;
+    otherwise one pool of worker processes, each with its own
+    `_SeedWork`, takes items in chunks of `_BATCH_SEEDS`.
     """
-    args = (cfg, pool_c, pool_d, {}, tables, row_sums)
     if jobs == 1:
-        yield from (_seed_hits(seed, *args) for seed in seeds)
+        yield from map(_SeedWork(configs, fix_ab).hits, items)
         return
-    with ProcessPool(jobs, initializer=_init_worker, initargs=args) as pool:
-        yield from pool.imap(_worker_seed_hits, seeds, chunksize=_BATCH_SEEDS)
+    from multiprocessing import Pool  # only parallel runs need it
+
+    with Pool(jobs, initializer=_init_worker, initargs=(configs, fix_ab)) as pool:
+        yield from pool.imap(_worker_hits, items, chunksize=_BATCH_SEEDS)
 
 
 def _write_checkpoint(path, cfg, seed_index, done):
@@ -625,8 +664,6 @@ def search(
     if done:
         # A finished run needs no pools.
         return [decode(code, cfg.n) for code in sorted(found)]
-    pool_c = _lazy_pool(cfg.n, "C", cfg.squares.c, cfg)
-    pool_d = _lazy_pool(cfg.n, "D", cfg.squares.d, cfg)
     if results_path and not resuming:
         with open(results_path, "w") as fh:
             fh.write(f"# search {cfg.describe()}\n")
@@ -648,8 +685,8 @@ def search(
             _write_checkpoint(checkpoint_path, cfg, processed, done)
 
     stopped = False
-    row_sums = (cfg.squares.a, cfg.squares.b)
-    for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, row_sums, {}):
+    items = ((0, seed) for seed in seeds)
+    for hits in _hit_stream(items, [cfg], jobs, fix_ab=True):
         processed += 1
         for code in hits:
             if code not in found and not stopped:
@@ -710,19 +747,12 @@ def run_sweep(
     class's canonical member is found under its own (c, d) target.
     """
     configs = sweep_configs(n, head_len, d_head_len, grid_points, spectral_bound)
-    targets = sorted({(cfg.squares.c, cfg.squares.d) for cfg in configs})
     by_target = {(cfg.squares.c, cfg.squares.d): cfg for cfg in configs}
-    base = configs[0]
-    seeds = list(generate_seeds(base))
-    pools: dict[tuple[str, int], SequencePool] = {}
-    tables: dict = {}
+    targets = [by_target[key] for key in sorted(by_target)]
+    seeds = list(generate_seeds(targets[0]))
+    live = filter(_SeedWork(targets, fix_ab=False).live, range(len(targets)))
+    items = ((t, seed) for t in live for seed in seeds)
     codes: set[str] = set()
-    for c_sum, d_sum in targets:
-        cfg = by_target[(c_sum, d_sum)]
-        pool_c = pools.setdefault(("C", c_sum), _lazy_pool(n, "C", c_sum, cfg))
-        pool_d = pools.setdefault(("D", d_sum), _lazy_pool(n, "D", d_sum, cfg))
-        if pool_c.negatives is None or pool_d.negatives is None:
-            continue
-        for hits in _hit_stream(seeds, cfg, pool_c, pool_d, jobs, None, tables):
-            codes.update(hits)
+    for hits in _hit_stream(items, targets, jobs, fix_ab=False):
+        codes.update(hits)
     return ClassListing(n, tuple(sorted(codes)))

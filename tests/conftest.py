@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import turynseq
-from turynseq.codec import read_listing
-from turynseq.seqs import TernarySeq, naf_all
+from turynseq.codec import encode, read_listing
+from turynseq.core import TurynQuad, is_canonical, verify_tt
+from turynseq.engine import PairDfs, full_plan
+from turynseq.seqs import BinarySeq, TernarySeq, naf_all
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -78,6 +80,22 @@ def seed_lag_sum(seed, s: int) -> int:
     return total
 
 
+def full_dfs_codes(n: int) -> list[str]:
+    """Sorted codes of the full-plan pairwise walk, the enumeration oracle.
+
+    With the full plan the walk's leaves are exactly the canonical
+    quadruples; each is checked with `verify_tt` and `is_canonical`.
+    """
+    eng = PairDfs(n, full_plan(n))
+    codes = []
+    for _ in eng.walk():
+        quad = TurynQuad(*(BinarySeq(row) for row in eng.snapshot()))
+        assert verify_tt(quad), f"full walk produced an invalid quadruple: {quad}"
+        assert is_canonical(quad), f"full walk produced a non-canonical quadruple: {quad}"
+        codes.append(encode(quad, form="compact"))
+    return sorted(codes)
+
+
 def child_env():
     """Environment for a child interpreter that imports this checkout's turynseq."""
     env = os.environ.copy()
@@ -93,8 +111,21 @@ def reference_codes():
 
 
 @pytest.fixture(scope="session")
+def dfs_oracle():
+    """Memoized `full_dfs_codes`, shared across tests (n = 12 takes ~12 s)."""
+    cache = {}
+
+    def get(n: int) -> list[str]:
+        if n not in cache:
+            cache[n] = full_dfs_codes(n)
+        return cache[n]
+
+    return get
+
+
+@pytest.fixture(scope="session")
 def listing_cache():
-    """Memoized full enumeration, shared across tests (n = 12 takes ~20s)."""
+    """Memoized `enumerate_canonical`, shared across tests (n = 16 takes ~3 s)."""
     from turynseq.enumeration import enumerate_canonical
 
     cache = {}

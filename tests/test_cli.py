@@ -290,6 +290,24 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["++++", "++-+", "++--", "+-+"]
 
+    def test_start_up_defers_hashlib_and_multiprocessing(self):
+        # Only checkpoints need hashlib and only parallel runs need
+        # multiprocessing; both are imported where they are used.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, turynseq.cli; "
+                "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "turynseq.cli", "decompositions", "--n", "2"],

@@ -7,6 +7,7 @@ import pytest
 from conftest import REFERENCE_COUNTS, load_reference_codes
 from turynseq.codec import decode
 from turynseq.core import is_canonical, orbit, verify_tt
+from turynseq.engine import PairDfs, full_plan
 from turynseq.enumeration import (
     ClassListing,
     Decomposition,
@@ -113,10 +114,25 @@ class TestEnumerate:
             assert verify_tt(quad)
             assert is_canonical(quad)
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_equals_full_dfs_oracle(self, n, dfs_oracle, listing_cache):
+        assert list(listing_cache(n).codes) == dfs_oracle(n)
+
+    def test_never_walks_the_full_plan(self, monkeypatch, reference_codes):
+        real_init = PairDfs.__init__
+
+        def guarded(self, n, plan, *args, **kwargs):
+            if list(plan) == full_plan(n):
+                raise AssertionError("enumeration built a full-plan walk")
+            real_init(self, n, plan, *args, **kwargs)
+
+        monkeypatch.setattr(PairDfs, "__init__", guarded)
+        assert list(enumerate_canonical(10).codes) == reference_codes[10]
+
     def test_jobs_deterministic(self):
         single = enumerate_canonical(10)
         assert enumerate_canonical(10, jobs=2).codes == single.codes
-        assert enumerate_canonical(10, jobs=3, split_steps=3).codes == single.codes
+        assert enumerate_canonical(10, jobs=3).codes == single.codes
 
     def test_rejects_odd_or_tiny(self):
         with pytest.raises(ValueError):
@@ -135,12 +151,12 @@ class TestEnumerate:
         assert len(enumerate_canonical(8, cap=8)) == REFERENCE_COUNTS[8]
 
     def test_cap_refusal_estimate_uses_measured_growth(self):
-        # About 20x per length step from 410 s at n = 14 puts n = 22 at
-        # years of wall time, not the hours an 8x-per-step guess gives.
-        with pytest.raises(FeasibilityError, match=r"roughly \d+ days") as exc:
+        # About 25x per length step from the sweep's 836 s at n = 20 puts
+        # n = 22 at hours; the full walk's growth said two years.
+        with pytest.raises(FeasibilityError, match=r"roughly [\d.]+ hours") as exc:
             enumerate_canonical(22)
-        days = int(re.search(r"roughly (\d+) days", str(exc.value)).group(1))
-        assert days > 365
+        hours = float(re.search(r"roughly ([\d.]+) hours", str(exc.value)).group(1))
+        assert 1 <= hours < 48
 
 
 class TestBruteForce:

@@ -100,6 +100,11 @@ class TestSearchConfig:
         assert base.run_hash() != cfg10(squares=Decomposition(2, 2, 0, 5)).run_hash()
         assert base.run_hash() != cfg10(grid_points=500).run_hash()
 
+    def test_run_hash_is_stable(self):
+        # Existing checkpoints carry this hash and must still resume.
+        cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
+        assert cfg.run_hash() == "dc4ae9817529cceb"
+
 
 class TestSeedQuad:
     def test_from_quad_masks_middles(self):
@@ -634,11 +639,12 @@ class TestSweep:
     def test_reproduces_enumeration(self, n, reference_codes):
         assert list(run_sweep(n).codes) == reference_codes[n]
 
-    def test_reproduces_enumeration_n12(self, listing_cache):
-        assert run_sweep(12).codes == listing_cache(12).codes
+    def test_reproduces_enumeration_n12(self, dfs_oracle):
+        assert list(run_sweep(12).codes) == dfs_oracle(12)
 
     def test_jobs_deterministic(self):
-        assert run_sweep(8, jobs=2).codes == run_sweep(8).codes
+        for n in (8, 10, 12):
+            assert run_sweep(n, jobs=2).codes == run_sweep(n).codes, f"n={n}"
 
     def test_union_of_configured_searches_matches_sweep(self):
         # The per-config searches pin A's and B's signed sums as well;
