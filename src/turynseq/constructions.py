@@ -11,7 +11,7 @@ checking the defining vanishing-autocorrelation condition.
 from dataclasses import dataclass
 
 from .core import TurynQuad, verify_tt
-from .seqs import BinarySeq, TernarySeq, concat, half_combine, naf_all
+from .seqs import BinarySeq, TernarySeq, concat, half_combine, naf_vanishes
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,6 @@ class TSequences:
         return (self.t1, self.t2, self.t3, self.t4)
 
 
-def _combined_naf_vanishes(seqs, weights=None) -> bool:
-    profiles = [naf_all(s) for s in seqs]
-    if weights is None:
-        weights = [1] * len(profiles)
-    top = max(len(p) for p in profiles)
-    for s in range(1, top):
-        total = sum(
-            w * p[s] for w, p in zip(weights, profiles) if s < len(p)
-        )
-        if total != 0:
-            return False
-    return True
-
-
 def tt_to_base(quad: TurynQuad) -> BaseSequences:
     """Base sequences (C~D, C~-D; A; B) from a verified quadruple."""
     if not verify_tt(quad):
@@ -87,7 +73,7 @@ def tt_to_base(quad: TurynQuad) -> BaseSequences:
 
 def verify_base(bs: BaseSequences) -> bool:
     """True iff N_P(s) + N_Q(s) + N_R(s) + N_S(s) = 0 for every s >= 1."""
-    return _combined_naf_vanishes([bs.p, bs.q, bs.r, bs.s])
+    return naf_vanishes((bs.p, bs.q, bs.r, bs.s), (1, 1, 1, 1))
 
 
 def base_to_t(bs: BaseSequences) -> TSequences:
@@ -121,4 +107,4 @@ def verify_t(ts: TSequences) -> bool:
         nonzero = sum(1 for row in ts.rows if row.entries[i] != 0)
         if nonzero != 1:
             return False
-    return _combined_naf_vanishes(ts.rows)
+    return naf_vanishes(ts.rows, (1, 1, 1, 1))

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .seqs import BinarySeq, naf_all
+from .seqs import BinarySeq, naf_vanishes
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,8 @@ class TurynQuad:
 
 
 def verify_tt(s: TurynQuad) -> bool:
-    """True iff the combined weighted NAF vanishes at every positive lag."""
-    n = s.n
-    na, nb, nc, nd = naf_all(s.a), naf_all(s.b), naf_all(s.c), naf_all(s.d)
-    for i in range(1, n):
-        di = nd[i] if i < n - 1 else 0
-        if na[i] + nb[i] + 2 * nc[i] + 2 * di != 0:
-            return False
-    return True
+    """True iff N_A + N_B + 2 N_C + 2 N_D vanishes at every positive lag."""
+    return naf_vanishes((s.a, s.b, s.c, s.d), (1, 1, 2, 2))
 
 
 # --- the symmetry group -------------------------------------------------

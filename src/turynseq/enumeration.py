@@ -149,13 +149,11 @@ def brute_force_classes(n: int, limit: int = 8) -> tuple[int, ClassListing]:
     rows_n = _pm_rows(n)
     rows_d = _pm_rows(n - 1)
     prof_n = naf_rows(rows_n)
-    prof_d = naf_rows(rows_d)
-    # Lags 1..n-1; D contributes nothing at lag n-1.
-    prof_d_full = np.zeros((rows_d.shape[0], n - 1), dtype=np.int16)
-    prof_d_full[:, : n - 2] = prof_d
+    # A trailing zero makes D's missing lag n - 1 read 0.
+    prof_d = naf_rows(np.pad(rows_d, ((0, 0), (0, 1))))
     cd_index: dict[bytes, list[tuple[int, int]]] = {}
     for ic in range(rows_n.shape[0]):
-        needs = -2 * (prof_n[ic][None, :] + prof_d_full)
+        needs = -2 * (prof_n[ic][None, :] + prof_d)
         for idx in range(rows_d.shape[0]):
             cd_index.setdefault(needs[idx].tobytes(), []).append((ic, idx))
     quads = []

@@ -72,7 +72,7 @@ from .enumeration import (
     _pm_rows,
     decompositions,
 )
-from .seqs import BinarySeq, naf_rows
+from .seqs import BinarySeq, naf_rows, spectrum_rows
 
 _SPECTRAL_TOL = 1e-6
 _BATCH_SEEDS = 256
@@ -274,7 +274,7 @@ class SequencePool:
 
     @functools.cached_property
     def _cos_table(self) -> np.ndarray:
-        lags = np.arange(1, self.length)
+        lags = np.arange(self.length)
         grid = np.arange(1, self.cfg.grid_points + 1) * (np.pi / self.cfg.grid_points)
         return np.cos(lags[:, None] * grid[None, :])
 
@@ -312,16 +312,11 @@ class SequencePool:
             rows = np.repeat(template[None], len(chunk), axis=0)
             positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
             rows[np.arange(len(chunk))[:, None], positions] = -1
-            spectra = _chunk_spectra(rows, self._cos_table)
+            spectra = spectrum_rows(rows, self._cos_table)
             mask = spectra.max(axis=1) <= self.cfg.spectral_bound + _SPECTRAL_TOL
             kept.append((rows[mask], spectra[mask]))
         rows, spectra = (np.concatenate(parts) for parts in zip(*kept))
         return PoolBucket(rows, spectra) if len(rows) else None
-
-
-def _chunk_spectra(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
-    """f(theta_j) for each row: N(0) + 2 sum_s N(s) cos(s theta_j)."""
-    return rows.shape[1] + 2.0 * (naf_rows(rows).astype(np.float64) @ cos_table)
 
 
 def _lazy_pool(n, kind, target_sum, cfg, cap_rows=_CAP_ROWS) -> SequencePool:
@@ -429,8 +424,10 @@ def _hash_weights(count: int) -> np.ndarray:
 
 
 def _pair_block(c_rows: np.ndarray, d_rows: np.ndarray) -> _Pairs:
-    target = naf_rows(c_rows)
-    target[:, :-1] += naf_rows(d_rows)  # D has no lag n - 1
+    # A trailing zero makes D's missing lag n - 1 read 0.
+    d_padded = np.zeros_like(c_rows)
+    d_padded[:, :-1] = d_rows
+    target = naf_rows(c_rows) + naf_rows(d_padded)
     target *= -2
     return _Pairs(c_rows, d_rows, target, target @ _hash_weights(target.shape[1]))
 

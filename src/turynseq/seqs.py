@@ -22,14 +22,20 @@ The spectral value
 
 equals |A(e^{i*theta})|^2 where A(x) = sum_k a_k x^{k-1}, so it is
 nonnegative up to floating rounding.
+
+`naf_rows` is the one NAF kernel: every autocorrelation in the package,
+from `naf_all` and the lag conditions of `naf_vanishes` to the pool
+spectra of `spectrum_rows`, is computed by it.  A sequence shorter than
+the others (D in a Turyn quadruple) is padded with trailing zeros, which
+leaves its NAF unchanged and makes the lags it lacks read 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _PM_CHARS = {"+": 1, "-": -1, "0": 0}
 
@@ -115,20 +121,27 @@ Seq = BinarySeq | TernarySeq
 def naf_all(seq: Seq) -> tuple[int, ...]:
     """All stored NAF values N(0), N(1), ..., N(m-1) of a length-m sequence."""
     e = seq.entries
-    m = len(e)
-    if m < 1:
+    if not e:
         raise ValueError("NAF needs a nonempty sequence")
-    return tuple(sum(e[j] * e[j + i] for j in range(m - i)) for i in range(m))
+    return (sum(v * v for v in e), *naf_rows(np.array([e], np.int8))[0].tolist())
 
 
 def naf_rows(rows: np.ndarray) -> np.ndarray:
-    """N(1), ..., N(L-1) of every row of a (count, L) {-1, +1} matrix, as int16."""
-    wide = rows.astype(np.int16)
-    length = wide.shape[1]
-    out = np.empty((wide.shape[0], length - 1), dtype=np.int16)
-    for s in range(1, length):
-        np.sum(wide[:, : length - s] * wide[:, s:], axis=1, dtype=np.int16, out=out[:, s - 1])
-    return out
+    """N(1), ..., N(L-1) of every row of a (count, L) {0, -1, +1} matrix, as int16."""
+    count, length = rows.shape
+    padded = np.zeros((count, 2 * length - 1), np.int16)
+    padded[:, :length] = rows
+    # windows[c, s, j] = padded[c, s + j], a strided view: nothing is copied,
+    # and windows[:, 0] is the row itself.
+    windows = sliding_window_view(padded, length, axis=1)
+    return np.einsum("cj,csj->cs", windows[:, 0], windows[:, 1:])
+
+
+def naf_vanishes(seqs, weights) -> bool:
+    """True iff sum_k weights[k] * N_{seqs[k]}(s) = 0 at every lag s >= 1."""
+    length = max(len(seq) for seq in seqs)
+    rows = np.array([seq.entries + (0,) * (length - len(seq)) for seq in seqs], np.int8)
+    return not np.any(np.asarray(weights) @ naf_rows(rows))
 
 
 def transform(seq: BinarySeq, kind: str) -> BinarySeq:
@@ -147,17 +160,26 @@ def row_sum(seq: Seq) -> int:
     return sum(seq.entries)
 
 
+def spectrum_rows(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
+    """f(theta_j) = N(0) + 2 sum_s N(s) cos(s theta_j) of every row of `rows`.
+
+    `rows` is a (count, L) {0, -1, +1} matrix and `cos_table[s, j]` holds
+    cos(s theta_j) for the lags s = 0..L-1.  N(0) is the number of nonzero
+    entries and the other lags come from `naf_rows`; one matrix product
+    of (N(0), 2 N(1), ..., 2 N(L-1)) with the table sums them.
+    """
+    weighted = np.concatenate([np.count_nonzero(rows, axis=1)[:, None], 2 * naf_rows(rows)], 1)
+    return weighted.astype(np.float64) @ cos_table
+
+
 def spectrum_value(seq: Seq, theta: float) -> float:
     """Evaluate f(theta) = N(0) + 2 sum_{j>=1} N(j) cos(j*theta).
 
-    Plain double-precision accumulation of the cosine sum; equals
+    One row of `spectrum_rows`, so it agrees with the pool spectra; equals
     |A(e^{i*theta})|^2 up to rounding, hence nonnegative.
     """
-    prof = naf_all(seq)
-    acc = float(prof[0])
-    for j in range(1, len(prof)):
-        acc += 2.0 * prof[j] * math.cos(j * theta)
-    return acc
+    cos_column = np.cos(np.arange(len(seq))[:, None] * theta)
+    return float(spectrum_rows(np.array([seq.entries], np.int8), cos_column)[0, 0])
 
 
 def half_combine(a: BinarySeq, b: BinarySeq, sign: int) -> TernarySeq:

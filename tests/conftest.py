@@ -57,6 +57,9 @@ TT38_D = "+--++---++--++-+----+-+---+-++++-+--+"
 TT38_CODE = "05128f55401f041adf7f65c53567822c9cb9c"
 TT38_ROW_SUMS = (8, -4, 8, -3)
 
+# The seven published codes for n = 26, 28, ..., 38, by n.
+PUBLISHED_CODES = {**KNOWN_LARGE_CODES, 38: TT38_CODE}
+
 
 def load_reference_text(name: str) -> str:
     return (DATA_DIR / name).read_text()
@@ -78,6 +81,24 @@ def seed_lag_sum(seed, s: int) -> int:
         if s < len(nafs):
             total += weight * nafs[s]
     return total
+
+
+def single_flips(rows):
+    """(row, entry, rows with that one entry negated) for every entry of `rows`.
+
+    Negating x_k moves N_X(s) by -2 x_k (x_{k-s} + x_{k+s}), with x zero
+    outside X.  Unless k is the centre of an odd-length row, the lag
+    s = max(k, len(X) - 1 - k) gives x_k exactly one partner, so N_X moves
+    by ±2 there and a vanishing weighted lag sum no longer vanishes.  The
+    centre entry has two partners at every lag; its flip is checked, not
+    implied.
+    """
+    for r, row in enumerate(rows):
+        e = row.entries
+        for k in range(len(e)):
+            changed = list(rows)
+            changed[r] = BinarySeq(e[:k] + (-e[k],) + e[k + 1 :])
+            yield r, k, changed
 
 
 def full_dfs_codes(n: int) -> list[str]:

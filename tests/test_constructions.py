@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import TT38_A, TT38_B, TT38_C, TT38_D
+from conftest import PUBLISHED_CODES, TT38_A, TT38_B, TT38_C, TT38_D, single_flips
 from turynseq.codec import decode
 from turynseq.constructions import (
     BaseSequences,
@@ -59,6 +59,12 @@ class TestVerifyBase:
             p=BinarySeq((-1, -1, 1)), q=bs.q, r=bs.r, s=bs.s
         )
         assert not verify_base(swapped)
+
+    @pytest.mark.parametrize("n", sorted(PUBLISHED_CODES))
+    def test_every_single_flip_of_published_base_fails(self, n):
+        bs = tt_to_base(decode(PUBLISHED_CODES[n], n))
+        for r, k, rows in single_flips((bs.p, bs.q, bs.r, bs.s)):
+            assert not verify_base(BaseSequences(*rows)), (r, k)
 
     def test_pair_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):

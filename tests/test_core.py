@@ -36,7 +36,16 @@ from turynseq.core import (
 )
 from turynseq.seqs import BinarySeq
 
-from conftest import KNOWN_LARGE_CODES, TT38_A, TT38_B, TT38_C, TT38_D, load_reference_codes
+from conftest import (
+    KNOWN_LARGE_CODES,
+    PUBLISHED_CODES,
+    TT38_A,
+    TT38_B,
+    TT38_C,
+    TT38_D,
+    load_reference_codes,
+    single_flips,
+)
 
 TT2 = TurynQuad.from_pm("++", "++", "+-", "+")
 TT38 = TurynQuad.from_pm(TT38_A, TT38_B, TT38_C, TT38_D)
@@ -85,6 +94,14 @@ class TestVerify:
 
     def test_all_plus_fails(self):
         assert not verify_tt(TurynQuad.from_pm("++", "++", "++", "+"))
+
+    @pytest.mark.parametrize("n", sorted(PUBLISHED_CODES))
+    def test_every_single_flip_of_a_published_code_fails(self, n):
+        quad = decode(PUBLISHED_CODES[n], n)
+        flips = list(single_flips((quad.a, quad.b, quad.c, quad.d)))
+        assert len(flips) == 4 * n - 1  # every entry, D's last one included
+        for r, k, rows in flips:
+            assert not verify_tt(TurynQuad(*rows)), (r, k)
 
     def test_lag_identity_holds_entrywise(self):
         # Recompute the combined lag sums directly for the n=8 example.

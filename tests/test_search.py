@@ -12,6 +12,7 @@ import pytest
 
 import turynseq.search as search_module
 from conftest import (
+    PUBLISHED_CODES,
     TT38_A,
     TT38_B,
     TT38_C,
@@ -297,10 +298,13 @@ class TestBuildPool:
 
 class TestSpectralSoundness:
     def test_pointwise_identity_on_all_tt10(self, reference_codes):
+        # f_A + f_B + 2 f_C + 2 f_D = 6n - 2 at every theta: every TT(10)
+        # class, then the published codes for n = 26..38.
         rng = random.Random(20240817)
         thetas = [rng.uniform(0.0, np.pi) for _ in range(1000)]
-        for code in reference_codes[10]:
-            quad = decode(code, 10)
+        quads = [decode(code, 10) for code in reference_codes[10]]
+        quads += [decode(code, n) for n, code in sorted(PUBLISHED_CODES.items())]
+        for quad in quads:
             for theta in rng.sample(thetas, 25):
                 total = (
                     spectrum_value(quad.a, theta)
@@ -308,7 +312,7 @@ class TestSpectralSoundness:
                     + 2 * spectrum_value(quad.c, theta)
                     + 2 * spectrum_value(quad.d, theta)
                 )
-                assert abs(total - 58.0) < 1e-6
+                assert abs(total - (6 * quad.n - 2)) < 1e-6
 
     def test_valid_members_never_pruned(self, reference_codes):
         # Nonnegativity of each spectrum plus the identity caps every

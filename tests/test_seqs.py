@@ -41,12 +41,17 @@ def spectrum_oracle(entries, theta):
     return abs(sum(v * z**k for k, v in enumerate(entries))) ** 2
 
 
-def pm_matrices(m):
-    """Strategy: (count, m) int8 matrices over {-1, +1}, count up to 6."""
-    row = st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)
+def row_matrices(m, values):
+    """Strategy: (count, m) int8 matrices over `values`, count up to 6."""
+    row = st.lists(st.sampled_from(values), min_size=m, max_size=m)
     return st.lists(row, max_size=6).map(
         lambda rows: np.array(rows, np.int8).reshape(len(rows), m)
     )
+
+
+def kernel_inputs(m):
+    """Strategy: {-1, +1} or {-1, 0, +1} matrices with m columns."""
+    return st.one_of(row_matrices(m, (1, -1)), row_matrices(m, (1, 0, -1)))
 
 
 def random_binary(rng, m):
@@ -126,13 +131,18 @@ class TestNaf:
             naf_all(TernarySeq(()))
 
     @settings(derandomize=True, deadline=None)
-    @given(st.integers(1, 40).flatmap(pm_matrices))
+    @given(st.integers(1, 40).flatmap(kernel_inputs))
     def test_row_matrix_kernel_matches_oracle(self, rows):
         nafs = naf_rows(rows)
         assert nafs.dtype == np.int16
         assert nafs.shape == (rows.shape[0], rows.shape[1] - 1)
         for row, prof in zip(rows.tolist(), nafs.tolist()):
             assert prof == [naf_oracle(row, i) for i in range(1, len(row))]
+        # One trailing zero column keeps lags 1..L-1 and adds a lag L
+        # that reads 0; D in a Turyn quadruple is padded this way.
+        padded = naf_rows(np.pad(rows, ((0, 0), (0, 1))))
+        assert np.array_equal(padded[:, :-1], nafs)
+        assert not padded[:, -1].any()
 
 
 class TestTransforms:
