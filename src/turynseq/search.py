@@ -7,8 +7,8 @@ constraint (the combined lag sum vanishes for s >= n - head_len) and
 every prefix-decidable canonical condition.
 
 Phase two pairs each seed with full candidate rows for C and D drawn
-from pools.  A pool holds the full-length rows with a given signed row
-sum whose spectrum
+from pools.  A pool holds the full-length rows, of each signed row sum
+in its set, whose spectrum
 
     f(theta) = N(0) + 2 sum_s N(s) cos(s theta)
 
@@ -19,6 +19,13 @@ excluded by the bound (6n - 2)/2, nor any valid (C, D) pair by
 f_C + f_D <= bound.  Pools are bucketed by their boundary entries so a
 seed only meets candidates extending it exactly; a bucket is built, from
 its middle entries alone, when a seed first names its boundary.
+
+The (C, D) pairs of a bucket pair are screened in fixed-size blocks:
+first by their sums, then on every 16th grid point, then on the full
+grid.  No solution is lost: any TT has a^2 + b^2 + 2c^2 + 2d^2 = 6n - 2,
+so its (c, d) is a live target of the run; the coarse grid is a subset
+of the full grid, so a coarse reject is a full-grid reject; and the
+full-grid test is the same float sum as a pair-by-pair test.
 
 The A and B middles are then completed by a join.  Once C and D are
 fixed, A and B are independent: the quadruple is valid exactly when
@@ -46,8 +53,11 @@ every canonical completion.  Both paths emit in the walk's order.
 
 One driver serves both `search` (one row-sum target, with stop and
 checkpoint) and `run_sweep` (every target, which `enumerate_canonical`
-runs): a stream of hit lists for (target, seed) items in order,
-computed in this process or in one pool of worker processes.
+runs): a stream of hit lists for (group, seed) items in order, computed
+in this process or in one pool of worker processes.  `run_sweep` makes
+one pass over the seeds, with one C pool over every live c sum and one
+D pool over every live d sum; its seeds are sorted by their (C, D)
+bucket keys, and each key is a group whose pairs are screened once.
 """
 
 from __future__ import annotations
@@ -80,6 +90,12 @@ _CAP_ROWS = 5_000_000
 # Middles of up to this many entries are completed by the NAF join; its
 # A and B tables hold 2^m rows each, so longer middles are walked.
 _JOIN_MAX_MIDDLE = 16
+# The (C, D) pair screen: pairs per block, and the stride of the coarse
+# sub-grid tried before the full one.
+_PAIR_BLOCK = 512
+_COARSE_STEP = 16
+# (C, D) pairs x B rows looked up at once in the A/B join.
+_JOIN_BLOCK = 1 << 16
 
 
 class CheckpointError(ValueError):
@@ -245,15 +261,17 @@ class PoolBucket:
 
 @dataclass(frozen=True)
 class SequencePool:
-    """Spectrum-passing rows of one kind and signed row sum, by boundary.
+    """Spectrum-passing rows of one kind and a set of signed row sums, by boundary.
 
     `buckets` maps each boundary key built so far to its bucket, or to
-    None when no row passes.
+    None when no row passes.  A bucket holds the rows of each of `sums`
+    extending its boundary, sum by sum in ascending order; within a sum,
+    rows come in the lexicographic order of their middle's -1 positions.
     """
 
     kind: str
     length: int
-    target_sum: int
+    sums: tuple[int, ...]
     bucket_len: int
     buckets: dict
     cfg: SearchConfig
@@ -263,25 +281,16 @@ class SequencePool:
     def total(self) -> int:
         return sum(b.rows.shape[0] for b in self.buckets.values() if b is not None)
 
-    @property
-    def negatives(self) -> int | None:
-        """-1 entries per row; None if the sum is impossible or f(0) = sum^2 fails."""
-        negatives, rem = divmod(self.length - self.target_sum, 2)
-        bound = self.cfg.spectral_bound + _SPECTRAL_TOL
-        if rem or not 0 <= negatives <= self.length or self.target_sum**2 > bound:
-            return None
-        return negatives
-
     @functools.cached_property
     def _cos_table(self) -> np.ndarray:
         lags = np.arange(self.length)
         grid = np.arange(1, self.cfg.grid_points + 1) * (np.pi / self.cfg.grid_points)
         return np.cos(lags[:, None] * grid[None, :])
 
-    def _check_cap(self, count: int, what: str = "") -> None:
+    def _check_cap(self, count: int, row_sum: int, what: str = "") -> None:
         if count > self.cap_rows:
             raise FeasibilityError(
-                f"{what}pool for {self.kind} with sum {self.target_sum} has {count} "
+                f"{what}pool for {self.kind} with sum {row_sum} has {count} "
                 f"candidate rows (cap {self.cap_rows}); the cap can be raised only by "
                 "calling build_pool(..., cap_rows=...) from Python"
             )
@@ -298,33 +307,44 @@ class SequencePool:
         head, tail = key
         h = self.bucket_len
         middle = self.length - 2 * h
-        negatives = self.negatives
-        if negatives is None:
-            return None
-        negatives -= (head + tail).count(-1)
-        if not 0 <= negatives <= middle:
-            return None
-        self._check_cap(math.comb(middle, negatives), f"bucket {key} of ")
         template = np.array(head + (1,) * middle + tail, np.int8)
         kept = []
-        combos = itertools.combinations(range(h, h + middle), negatives)
-        while chunk := list(itertools.islice(combos, 4096)):
-            rows = np.repeat(template[None], len(chunk), axis=0)
-            positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
-            rows[np.arange(len(chunk))[:, None], positions] = -1
-            spectra = spectrum_rows(rows, self._cos_table)
-            mask = spectra.max(axis=1) <= self.cfg.spectral_bound + _SPECTRAL_TOL
-            kept.append((rows[mask], spectra[mask]))
+        for row_sum in self.sums:
+            negatives = _negatives(self.length, row_sum, self.cfg)
+            if negatives is None:
+                continue
+            negatives -= (head + tail).count(-1)
+            if not 0 <= negatives <= middle:
+                continue
+            self._check_cap(math.comb(middle, negatives), row_sum, f"bucket {key} of ")
+            combos = itertools.combinations(range(h, h + middle), negatives)
+            while chunk := list(itertools.islice(combos, 4096)):
+                rows = np.repeat(template[None], len(chunk), axis=0)
+                positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
+                rows[np.arange(len(chunk))[:, None], positions] = -1
+                spectra = spectrum_rows(rows, self._cos_table)
+                mask = spectra.max(axis=1) <= self.cfg.spectral_bound + _SPECTRAL_TOL
+                kept.append((rows[mask], spectra[mask]))
+        if not kept:
+            return None
         rows, spectra = (np.concatenate(parts) for parts in zip(*kept))
         return PoolBucket(rows, spectra) if len(rows) else None
 
 
-def _lazy_pool(n, kind, target_sum, cfg, cap_rows=_CAP_ROWS) -> SequencePool:
-    """A pool holding no rows yet; its buckets are built as they are asked for."""
+def _negatives(length: int, row_sum: int, cfg: SearchConfig) -> int | None:
+    """-1 entries of a row with this sum; None if impossible or f(0) = sum^2 fails."""
+    negatives, rem = divmod(length - row_sum, 2)
+    if rem or not 0 <= negatives <= length or row_sum**2 > cfg.spectral_bound + _SPECTRAL_TOL:
+        return None
+    return negatives
+
+
+def _lazy_pool(n, kind, sums, cfg, cap_rows=_CAP_ROWS) -> SequencePool:
+    """A pool of the given row sums holding no rows yet; buckets are built on request."""
     if kind not in ("C", "D"):
         raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
     length, bucket_len = (n, cfg.head_len) if kind == "C" else (n - 1, cfg.d_head_len)
-    return SequencePool(kind, length, target_sum, bucket_len, {}, cfg, cap_rows)
+    return SequencePool(kind, length, tuple(sorted(set(sums))), bucket_len, {}, cfg, cap_rows)
 
 
 def build_pool(
@@ -342,10 +362,11 @@ def build_pool(
     bound (f(0) = sum^2) gives an empty pool, as does a sum of impossible
     parity or magnitude.
     """
-    pool = _lazy_pool(n, kind, target_sum, cfg, cap_rows)
-    if pool.negatives is None:
+    pool = _lazy_pool(n, kind, (target_sum,), cfg, cap_rows)
+    negatives = _negatives(pool.length, target_sum, cfg)
+    if negatives is None:
         return pool
-    pool._check_cap(math.comb(pool.length, pool.negatives))
+    pool._check_cap(math.comb(pool.length, negatives), target_sum)
     boundary = itertools.product((1, -1), repeat=pool.bucket_len)
     for key in itertools.product(list(boundary), repeat=2):
         if pool.bucket(key) is None:
@@ -486,19 +507,22 @@ def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
     rows_b, nafs_b, hash_b = _row_table(tables, seed.b, h, sum_b)
     if not (len(hash_a) and len(hash_b)):
         return
-    wanted = pairs.target_hash[:, None] - hash_b[None, :]
-    lo = np.searchsorted(hash_a, wanted)
-    ip, ib = np.nonzero(hash_a[np.minimum(lo, len(hash_a) - 1)] == wanted)
-    lo = lo[ip, ib]
-    counts = np.searchsorted(hash_a, wanted[ip, ib], side="right") - lo
-    # One candidate per A row in each run of equal hashes.
-    ip, ib = np.repeat(ip, counts), np.repeat(ib, counts)
-    ia = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
     hits = []
-    for p, a, b in zip(ip[exact].tolist(), ia[exact].tolist(), ib[exact].tolist()):
-        rows = (rows_a[a], rows_b[b], pairs.c_rows[p], pairs.d_rows[p])
-        hits.append((p, TurynQuad(*(BinarySeq(row) for row in rows))))
+    # Blocks of pairs keep the (pairs x B rows) lookups near a fixed size.
+    step = max(1, _JOIN_BLOCK // len(hash_b))
+    for start in range(0, len(pairs.target), step):
+        wanted = pairs.target_hash[start : start + step, None] - hash_b[None, :]
+        lo = np.searchsorted(hash_a, wanted)
+        ip, ib = np.nonzero(hash_a[np.minimum(lo, len(hash_a) - 1)] == wanted)
+        lo = lo[ip, ib]
+        counts = np.searchsorted(hash_a, wanted[ip, ib], side="right") - lo
+        # One candidate per A row in each run of equal hashes.
+        ip, ib = np.repeat(ip + start, counts), np.repeat(ib, counts)
+        ia = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
+        for p, a, b in zip(ip[exact].tolist(), ia[exact].tolist(), ib[exact].tolist()):
+            rows = (rows_a[a], rows_b[b], pairs.c_rows[p], pairs.d_rows[p])
+            hits.append((p, TurynQuad(*(BinarySeq(row) for row in rows))))
     hits.sort(key=lambda hit: (hit[0], _walk_order(hit[1], h)))
     for _, quad in hits:
         if not verify_tt(quad):
@@ -506,94 +530,122 @@ def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
         yield quad
 
 
-def _seed_hits(seed, cfg, pool_c, pool_d, pair_cache, tables, row_sums) -> list[str]:
-    """Compact codes of all canonical hits for one seed, in pool order."""
-    c_bucket = pool_c.bucket(seed.c_bucket_key())
-    d_bucket = None if c_bucket is None else pool_d.bucket(seed.d_bucket_key())
-    if d_bucket is None:
-        return []
-    key = (seed.c_bucket_key(), seed.d_bucket_key())
-    pairs = pair_cache.get(key)
-    if pairs is None:
-        limit = cfg.spectral_bound + _SPECTRAL_TOL
-        partners = [
-            np.nonzero((spectrum + d_bucket.spectra).max(axis=1) <= limit)[0]
-            for spectrum in c_bucket.spectra
-        ]
-        ic = np.repeat(np.arange(len(partners)), [ids.size for ids in partners])
-        pairs = _pair_block(c_bucket.rows[ic], d_bucket.rows[np.concatenate(partners)])
-        pair_cache[key] = pairs
-    return [
-        encode(quad, form="compact")
-        for quad in _completions(seed, pairs, tables, row_sums)
-        if is_canonical(quad)
-    ]
+def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray, limit: float):
+    """Row indices (ic, id) of the bucket pairs kept for the join, row-major.
+
+    A pair is kept when its (sum C, sum D) is marked in `live` (indexed
+    by sum + n) and f_C + f_D <= `limit` at every grid point.  Blocks of
+    `_PAIR_BLOCK` pairs are screened first on every `_COARSE_STEP`-th
+    grid point, then on the full grid: each reject at a coarse point is
+    a reject on the full grid, so the decisions are exactly those of the
+    full-grid test, and the temporaries never exceed one block.
+    """
+    count_d = len(d_bucket.rows)
+    total = len(c_bucket.rows) * count_d
+    offset = live.shape[0] // 2
+    sums_c = c_bucket.rows.sum(axis=1) + offset
+    sums_d = d_bucket.rows.sum(axis=1) + offset
+    coarse_c = c_bucket.spectra[:, ::_COARSE_STEP]
+    coarse_d = d_bucket.spectra[:, ::_COARSE_STEP]
+    kept_c, kept_d = [], []
+    for start in range(0, total, _PAIR_BLOCK):
+        ic, id_ = np.divmod(np.arange(start, min(start + _PAIR_BLOCK, total)), count_d)
+        keep = live[sums_c[ic], sums_d[id_]]
+        ic, id_ = ic[keep], id_[keep]
+        coarse = coarse_c[ic]
+        coarse += coarse_d[id_]
+        keep = coarse.max(axis=1) <= limit
+        ic, id_ = ic[keep], id_[keep]
+        full = c_bucket.spectra[ic]
+        full += d_bucket.spectra[id_]
+        keep = full.max(axis=1) <= limit
+        kept_c.append(ic[keep])
+        kept_d.append(id_[keep])
+    return np.concatenate(kept_c), np.concatenate(kept_d)
 
 
 class _SeedWork:
-    """One process's state for the hits of (target, seed) work items.
+    """One process's state for the hits of (group, seed) work items.
 
-    Target t is `configs[t]`.  Pools and A/B tables are built on demand
-    and kept for the run; the (C, D) pair cache holds only the current
-    target's pairs.  With `fix_ab`, only completions with the target's
-    A and B sums are kept.
+    The C pool covers the c sums and the D pool the d sums of the live
+    (c, d) targets, those whose rows can pass at all (right parity and
+    magnitude, f(0) = sum^2 within the bound); a pair of bucket rows is
+    joined only when its own (c, d) is one of them.  Buckets and A/B
+    tables are built on demand and kept for the run; the (C, D) pair
+    cache is dropped whenever the group changes.  `row_sums`, unless
+    None, keeps only completions with those A and B sums.
     """
 
-    def __init__(self, configs: list[SearchConfig], fix_ab: bool):
-        self.configs = configs
-        self.fix_ab = fix_ab
-        self.pools: dict[tuple[str, int], SequencePool] = {}
+    def __init__(self, cfg: SearchConfig, targets, row_sums):
+        n = cfg.n
+        live = [
+            (c, d)
+            for c, d in targets
+            if _negatives(n, c, cfg) is not None and _negatives(n - 1, d, cfg) is not None
+        ]
+        self.limit = cfg.spectral_bound + _SPECTRAL_TOL
+        self.row_sums = row_sums
+        self.pool_c = _lazy_pool(n, "C", {c for c, _ in live}, cfg)
+        self.pool_d = _lazy_pool(n, "D", {d for _, d in live}, cfg)
+        self.live = np.zeros((2 * n + 1, 2 * n + 1), bool)
+        for c, d in live:
+            self.live[c + n, d + n] = True
         self.tables: dict = {}
-        self.target = None
+        self.group = None
         self.pair_cache: dict = {}
 
-    def _pool(self, kind: str, cfg: SearchConfig) -> SequencePool:
-        target_sum = cfg.squares.c if kind == "C" else cfg.squares.d
-        key = (kind, target_sum)
-        if key not in self.pools:
-            self.pools[key] = _lazy_pool(cfg.n, kind, target_sum, cfg)
-        return self.pools[key]
-
-    def live(self, target: int) -> bool:
-        """False when the target's C or D pool can hold no row."""
-        cfg = self.configs[target]
-        return all(self._pool(kind, cfg).negatives is not None for kind in "CD")
+    def _pairs(self, c_key, d_key) -> _Pairs | None:
+        c_bucket = self.pool_c.bucket(c_key)
+        d_bucket = None if c_bucket is None else self.pool_d.bucket(d_key)
+        if d_bucket is None:
+            return None
+        ic, id_ = _spectral_pairs(c_bucket, d_bucket, self.live, self.limit)
+        return _pair_block(c_bucket.rows[ic], d_bucket.rows[id_])
 
     def hits(self, item) -> list[str]:
-        target, seed = item
-        if target != self.target:
-            self.target, self.pair_cache = target, {}
-        cfg = self.configs[target]
-        row_sums = (cfg.squares.a, cfg.squares.b) if self.fix_ab else None
-        pool_c, pool_d = self._pool("C", cfg), self._pool("D", cfg)
-        return _seed_hits(seed, cfg, pool_c, pool_d, self.pair_cache, self.tables, row_sums)
+        """Compact codes of all canonical hits for one seed, in pool order."""
+        group, seed = item
+        if group != self.group:
+            self.group, self.pair_cache = group, {}
+        key = (seed.c_bucket_key(), seed.d_bucket_key())
+        if key not in self.pair_cache:
+            self.pair_cache[key] = self._pairs(*key)
+        pairs = self.pair_cache[key]
+        if pairs is None:
+            return []
+        return [
+            encode(quad, form="compact")
+            for quad in _completions(seed, pairs, self.tables, self.row_sums)
+            if is_canonical(quad)
+        ]
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(configs, fix_ab):
-    _WORKER_STATE["work"] = _SeedWork(configs, fix_ab)
+def _init_worker(work_args):
+    _WORKER_STATE["work"] = _SeedWork(*work_args)
 
 
 def _worker_hits(item):
     return _WORKER_STATE["work"].hits(item)
 
 
-def _hit_stream(items, configs, jobs, fix_ab):
-    """Yield the hit list of each (target, seed) item, in item order.
+def _hit_stream(items, work_args, jobs, chunksize=_BATCH_SEEDS):
+    """Yield the hit list of each (group, seed) item, in item order.
 
-    With `jobs == 1` an item is pulled only when its hits are wanted;
-    otherwise one pool of worker processes, each with its own
-    `_SeedWork`, takes items in chunks of `_BATCH_SEEDS`.
+    `work_args` are the arguments of `_SeedWork`.  With `jobs == 1` an
+    item is pulled only when its hits are wanted; otherwise one pool of
+    worker processes, each with its own `_SeedWork`, takes items in
+    chunks of `chunksize`.
     """
     if jobs == 1:
-        yield from map(_SeedWork(configs, fix_ab).hits, items)
+        yield from map(_SeedWork(*work_args).hits, items)
         return
     from multiprocessing import Pool  # only parallel runs need it
 
-    with Pool(jobs, initializer=_init_worker, initargs=(configs, fix_ab)) as pool:
-        yield from pool.imap(_worker_hits, items, chunksize=_BATCH_SEEDS)
+    with Pool(jobs, initializer=_init_worker, initargs=(work_args,)) as pool:
+        yield from pool.imap(_worker_hits, items, chunksize=chunksize)
 
 
 def _write_checkpoint(path, cfg, seed_index, done):
@@ -682,8 +734,9 @@ def search(
             _write_checkpoint(checkpoint_path, cfg, processed, done)
 
     stopped = False
+    a, b, c, d = cfg.squares
     items = ((0, seed) for seed in seeds)
-    for hits in _hit_stream(items, [cfg], jobs, fix_ab=True):
+    for hits in _hit_stream(items, (cfg, [(c, d)], (a, b)), jobs):
         processed += 1
         for code in hits:
             if code not in found and not stopped:
@@ -739,17 +792,24 @@ def run_sweep(
 ) -> ClassListing:
     """Every equivalence class at length n via the two-phase search.
 
-    Unions the search over all signed (c, d) pool targets; the row sums
-    of A and B are left free, which cannot miss a class since each
-    class's canonical member is found under its own (c, d) target.
+    Unions the search over all signed (c, d) pool targets in one pass
+    over the seeds; the row sums of A and B are left free, which cannot
+    miss a class since each class's canonical member is found under its
+    own (c, d) target.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     configs = sweep_configs(n, head_len, d_head_len, grid_points, spectral_bound)
-    by_target = {(cfg.squares.c, cfg.squares.d): cfg for cfg in configs}
-    targets = [by_target[key] for key in sorted(by_target)]
-    seeds = list(generate_seeds(targets[0]))
-    live = filter(_SeedWork(targets, fix_ab=False).live, range(len(targets)))
-    items = ((t, seed) for t in live for seed in seeds)
+    targets = {(cfg.squares.c, cfg.squares.d) for cfg in configs}
+    seeds = list(generate_seeds(configs[0]))
+    # Seeds naming the same buckets run together, so each (C, D) bucket
+    # pair is screened once; its key is the group of its items.
+    groups = [(seed.c_bucket_key(), seed.d_bucket_key()) for seed in seeds]
+    items = sorted(zip(groups, seeds), key=lambda item: item[0])
+    # About four chunks per worker: whole bucket groups rarely split, and
+    # no worker waits long for the last chunk.
+    chunksize = max(1, -(-len(items) // (4 * jobs)))
     codes: set[str] = set()
-    for hits in _hit_stream(items, targets, jobs, fix_ab=False):
+    for hits in _hit_stream(items, (configs[0], targets, None), jobs, chunksize):
         codes.update(hits)
     return ClassListing(n, tuple(sorted(codes)))

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _PM_CHARS = {"+": 1, "-": -1, "0": 0}
 
@@ -132,8 +131,13 @@ def naf_rows(rows: np.ndarray) -> np.ndarray:
     padded = np.zeros((count, 2 * length - 1), np.int16)
     padded[:, :length] = rows
     # windows[c, s, j] = padded[c, s + j], a strided view: nothing is copied,
-    # and windows[:, 0] is the row itself.
-    windows = sliding_window_view(padded, length, axis=1)
+    # and windows[:, 0] is the row itself.  It is built directly: on small
+    # matrices, sliding_window_view's argument handling costs about ten
+    # times as much as the view.
+    row_stride, entry_stride = padded.strides
+    windows = np.ndarray(
+        (count, length, length), np.int16, padded, 0, (row_stride, entry_stride, entry_stride)
+    )
     return np.einsum("cj,csj->cs", windows[:, 0], windows[:, 1:])
 
 

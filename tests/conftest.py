@@ -9,6 +9,7 @@ one fully displayed TT(38) together with its compact code and row sums.
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import turynseq
@@ -115,6 +116,20 @@ def full_dfs_codes(n: int) -> list[str]:
         assert is_canonical(quad), f"full walk produced a non-canonical quadruple: {quad}"
         codes.append(encode(quad, form="compact"))
     return sorted(codes)
+
+
+def per_row_pairs(c_bucket, d_bucket, limit):
+    """(ic, id) of the bucket pairs with f_C + f_D <= limit on the full grid, row-major.
+
+    The per-C-row loop the search once ran, kept as the oracle of its
+    vectorised pair screen.
+    """
+    partners = [
+        np.nonzero((spectrum + d_bucket.spectra).max(axis=1) <= limit)[0]
+        for spectrum in c_bucket.spectra
+    ]
+    ic = np.repeat(np.arange(len(partners)), [ids.size for ids in partners])
+    return ic, np.concatenate(partners)
 
 
 def child_env():

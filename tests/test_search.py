@@ -20,6 +20,7 @@ from conftest import (
     TT38_CODE,
     child_env,
     load_reference_codes,
+    per_row_pairs,
     seed_lag_sum,
 )
 from turynseq.codec import decode, encode
@@ -260,11 +261,16 @@ class TestBuildPool:
     def test_lazy_buckets_equal_filtered_full_rows(self, n):
         # Expected buckets come from scanning every full row of the sum in
         # combinations order, with spectra from an FFT on the same grid.
+        # A pool over every sum then holds, per boundary, the one-sum
+        # buckets concatenated in ascending order of sum.
         cfg = sweep_configs(n)[0]  # pools depend on n and the widths only
         limit = cfg.spectral_bound + 1e-6
         g = cfg.grid_points
         for kind, length, h in (("C", n, cfg.head_len), ("D", n - 1, cfg.d_head_len)):
-            for target_sum in range(-length, length + 1, 2):
+            boundary = list(itertools.product((1, -1), repeat=h))
+            sums = range(-length, length + 1, 2)
+            one_sum_pools = []
+            for target_sum in sums:
                 expected: dict[tuple, list] = {}
                 negatives = (length - target_sum) // 2
                 for negs in itertools.combinations(range(length), negatives):
@@ -275,8 +281,8 @@ class TestBuildPool:
                         ends = row[:h].astype(int), row[length - h :].astype(int)
                         key = tuple(map(tuple, ends))
                         expected.setdefault(key, []).append((row, spectrum))
-                pool = search_module._lazy_pool(n, kind, target_sum, cfg)
-                boundary = list(itertools.product((1, -1), repeat=h))
+                pool = search_module._lazy_pool(n, kind, (target_sum,), cfg)
+                one_sum_pools.append(pool)
                 for key in itertools.product(boundary, repeat=2):
                     bucket = pool.bucket(key)
                     if key not in expected:
@@ -288,11 +294,33 @@ class TestBuildPool:
                         bucket.spectra, np.array(spectra), rtol=0, atol=1e-9
                     )
                 assert pool.total == sum(map(len, expected.values()))
+            every_sum = search_module._lazy_pool(n, kind, reversed(sums), cfg)
+            assert every_sum.sums == tuple(sums)
+            for key in itertools.product(boundary, repeat=2):
+                parts = [pool.buckets[key] for pool in one_sum_pools]
+                parts = [part for part in parts if part is not None]
+                bucket = every_sum.bucket(key)
+                if not parts:
+                    assert bucket is None, (kind, key)
+                    continue
+                assert np.array_equal(bucket.rows, np.concatenate([p.rows for p in parts]))
+                assert np.array_equal(
+                    bucket.spectra, np.concatenate([p.spectra for p in parts])
+                )
 
     def test_bucket_row_cap_refusal(self):
         # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates.
-        pool = search_module._lazy_pool(10, "C", 2, cfg10(), cap_rows=5)
+        pool = search_module._lazy_pool(10, "C", (2,), cfg10(), cap_rows=5)
         with pytest.raises(FeasibilityError, match="15 candidate rows .cap 5."):
+            pool.bucket(((1, 1), (1, 1)))
+
+    def test_bucket_row_cap_guards_each_sum_apart(self):
+        # Same middle: sum 0 has comb(6, 5) = 6 candidates and sum -2 has
+        # 1.  Their 7 pass a cap of 6, since each sum's part is capped alone.
+        pool = search_module._lazy_pool(10, "C", (0, -2), cfg10(), cap_rows=6)
+        assert len(pool.bucket(((1, 1), (1, 1))).rows) <= 7
+        pool = search_module._lazy_pool(10, "C", (0, 2), cfg10(), cap_rows=14)
+        with pytest.raises(FeasibilityError, match="with sum 2 has 15 candidate rows"):
             pool.bucket(((1, 1), (1, 1)))
 
 
@@ -438,6 +466,59 @@ class TestJoin:
         assert search(cfg10(squares=Decomposition(2, 2, 4, 3)))
         assert checked
         assert set(checked) == {(2, 2)}
+
+
+class TestPairScreen:
+    @staticmethod
+    def every_bucket(pool):
+        boundary = list(itertools.product((1, -1), repeat=pool.bucket_len))
+        keyed = ((key, pool.bucket(key)) for key in itertools.product(boundary, repeat=2))
+        return [bucket for _, bucket in keyed if bucket is not None]
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_equals_per_row_loop_on_every_bucket_pair(self, n, block, monkeypatch):
+        # The sweep's pools hold every live sum; a one-target search's hold
+        # one.  In both, the screen keeps exactly the pairs the full-grid
+        # per-row loop keeps among those with a live (c, d), in its order.
+        # Blocks of 7 pairs split bucket pairs and C rows at odd places.
+        if block is not None:
+            monkeypatch.setattr(search_module, "_PAIR_BLOCK", block)
+        cfg = sweep_configs(n)[0]
+        limit = cfg.spectral_bound + search_module._SPECTRAL_TOL
+        targets = sorted({(c.squares.c, c.squares.d) for c in sweep_configs(n)})
+        works = [search_module._SeedWork(cfg, targets, None)]
+        works += [search_module._SeedWork(cfg, [target], None) for target in targets]
+        compared = kept = 0
+        for work in works:
+            for c_bucket in self.every_bucket(work.pool_c):
+                for d_bucket in self.every_bucket(work.pool_d):
+                    ic, id_ = per_row_pairs(c_bucket, d_bucket, limit)
+                    sums_c = c_bucket.rows.sum(axis=1)[ic] + n
+                    sums_d = d_bucket.rows.sum(axis=1)[id_] + n
+                    live = work.live[sums_c, sums_d]
+                    got = search_module._spectral_pairs(c_bucket, d_bucket, work.live, limit)
+                    assert np.array_equal(got[0], ic[live])
+                    assert np.array_equal(got[1], id_[live])
+                    compared += 1
+                    kept += int(live.sum())
+        assert compared and kept
+
+    def test_sweep_screens_each_bucket_pair_once(self, monkeypatch):
+        # n=12 has 72 seeds naming 24 (C, D) bucket pairs; a pass per
+        # target made 864 joins and 288 pair blocks.
+        calls = {"_completions": 0, "_pair_block": 0}
+        for name in calls:
+            real = getattr(search_module, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(search_module, name, counting)
+        assert len(run_sweep(12)) == 127
+        assert calls["_completions"] <= 72
+        assert calls["_pair_block"] <= 24
 
 
 class TestSearch:
@@ -649,6 +730,10 @@ class TestSweep:
     def test_jobs_deterministic(self):
         for n in (8, 10, 12):
             assert run_sweep(n, jobs=2).codes == run_sweep(n).codes, f"n={n}"
+
+    def test_rejects_jobs_below_one(self):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(8, jobs=0)
 
     def test_union_of_configured_searches_matches_sweep(self):
         # The per-config searches pin A's and B's signed sums as well;
