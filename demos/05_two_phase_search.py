@@ -18,13 +18,13 @@ from turynseq import (
     enumerate_canonical,
     fill_middle,
     generate_seeds,
-    run_sweep,
     sweep_configs,
 )
 from turynseq.search import search
 
-# A search run targets one row-sum decomposition at a time; here
-# (a, b, c, d) = (0, 0, 2, 5) with default boundary widths for n=10.
+# A search run targets one signed row-sum decomposition, or all of them
+# when `squares` is left out; here (a, b, c, d) = (0, 0, 2, 5) with
+# default boundary widths for n=10.
 cfg = SearchConfig(n=10, squares=(0, 0, 2, 5))
 print("config:", cfg.describe())
 
@@ -50,27 +50,30 @@ print("D pool:", pool_d.total, "rows in", len(pool_d.buckets), "boundary buckets
 # keeps (C, D) pairs with f_C + f_D below the bound, and completes the
 # A and B middles: with C and D fixed, A and B must satisfy
 # N_A + N_B = -2 (N_C + N_D) at every lag, a lookup between a table of
-# A rows and a table of B rows.  Results are canonical representatives.
+# A rows and a table of B rows.  Results are canonical representatives,
+# listed by their compact codes.
 hits = search(cfg)
 print("\nfound", len(hits), "classes with row sums (0, 0, 2, 5):")
-for quad in hits:
-    print(" ", encode(quad, form="compact"), quad.row_sums())
+for code in hits.codes:
+    print(" ", code, decode(code, 10).row_sums())
 
 # fill_middle is the phase-two core, usable on its own: given a seed
 # and concrete C, D rows it streams the completions whose A and B rows
 # pass their own canonical clauses, every canonical completion among
 # them.
-quad = hits[0]
+quad = decode(hits.codes[0], 10)
 seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
 completions = list(fill_middle(seed, quad.c, quad.d))
 print("\ncompletions of the first hit's own seed and rows:", len(completions))
 
-# Sweeping every signed decomposition reproduces the full class list,
-# exactly matching direct enumeration.
+# Leaving `squares` out sweeps every signed decomposition in one pass
+# over the seeds and reproduces the full class list, which is what
+# enumerate_canonical runs.  A sweep checkpoints, resumes and stops
+# after K hits exactly like a one-target hunt.
 configs = sweep_configs(10)
 print("\nsweep covers", len(configs), "signed row-sum targets")
-swept = run_sweep(10)
-assert swept.codes == enumerate_canonical(10).codes
+swept = search(SearchConfig(n=10))
+assert swept == enumerate_canonical(10)
 print("sweep reproduces the enumerated listing:", len(swept), "classes")
 
 # The same machinery scales to n=38: decode the known solution, mask

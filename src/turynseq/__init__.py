@@ -50,7 +50,6 @@ from .search import (
     build_pool,
     fill_middle,
     generate_seeds,
-    run_sweep,
     sweep_configs,
 )
 from .seqs import (
@@ -101,7 +100,6 @@ __all__ = [
     "read_listing",
     "realizability_report",
     "row_sum",
-    "run_sweep",
     "spectrum_value",
     "sweep_configs",
     "transform",

@@ -18,7 +18,7 @@ from .enumeration import (
     enumerate_canonical,
     realizability_report,
 )
-from .search import CheckpointError, SearchConfig, run_sweep, search
+from .search import CheckpointError, SearchConfig, search
 
 OK = 0
 CHECK_FAILED = 1
@@ -163,36 +163,27 @@ def _parse_config(text: str) -> dict:
 
 
 def cmd_search(args) -> int:
+    if args.resume and not args.out:
+        raise InputError("--resume needs --out: a checkpointed run writes its hits only there")
     values = _parse_config(_read_text(args.config))
-    n = values.pop("n")
-    squares = values.pop("squares", None)
-    config_stop = values.pop("stop_after", None)
-    stop_after = args.stop_after if args.stop_after is not None else config_stop
-
-    if squares is None:
-        # Sweep every decomposition; a full reproduction run.
-        if args.resume:
-            raise InputError("checkpoint resume needs a single-target config (set squares=)")
-        if stop_after is not None:
-            raise InputError("stop_after needs a single-target config (set squares=)")
-        listing = run_sweep(n, jobs=args.jobs, **values)
-        print(f"n={n}: {len(listing)} classes")
-        _emit(listing.to_text(), args.out)
-        return OK
-
-    cfg = SearchConfig(n=n, squares=squares, stop_after=stop_after, **values)
-    results = search(
+    if args.stop_after is not None:
+        values["stop_after"] = args.stop_after
+    cfg = SearchConfig(**values)
+    listing = search(
         cfg,
         jobs=args.jobs,
         checkpoint_path=args.resume,
         results_path=args.out if args.resume else None,
     )
-    codes = [encode(q, form="compact") for q in results]
-    print(f"{cfg.describe()}: {len(codes)} found")
+    if cfg.squares is None:
+        print(f"n={cfg.n}: {len(listing)} classes")
+        header = f"n={cfg.n}"
+    else:
+        print(f"{cfg.describe()}: {len(listing)} found")
+        header = f"search {cfg.describe()}"
     if args.resume:
         return OK  # search already appended hits to --out as they came in
-    text = write_listing(list(enumerate(codes, start=1)), header=f"search {cfg.describe()}")
-    _emit(text, args.out)
+    _emit(write_listing(list(enumerate(listing.codes, start=1)), header=header), args.out)
     return OK
 
 

@@ -2,9 +2,9 @@
 
 `enumerate_canonical` lists the canonical representative of every
 equivalence class at length n, as sorted compact codes.  It runs the
-two-phase sweep of `search.run_sweep` (boundary seeds, spectrally
-filtered C/D pools, and the A/B middle join), which keeps every
-canonical quadruple.  `brute_force_classes` recomputes the same classes
+two-phase search of `search.search` over every row-sum target
+(boundary seeds, spectrally filtered C/D pools, and the A/B middle
+join), which keeps every canonical quadruple.  `brute_force_classes` recomputes the same classes
 for tiny n by raw constraint filtering over all 2^(4n-1) quadruples
 (meet-in-the-middle over the defining identity), entirely independent
 of the search, the group-action code path being the only shared
@@ -88,7 +88,7 @@ class ClassListing:
         )
 
 
-# run_sweep wall times measured 2026-10-18 on a 2-core machine with
+# Sweep wall times measured 2026-10-18 on a 2-core machine with
 # Python 3.11 and one BLAS thread: n = 16 took 3.2 s, n = 18 33 s and
 # n = 20 836 s.  The step grows with n, so the last one (25x) is used.
 _MEASURED_N, _MEASURED_S, _STEP_RATIO = 20, 836.0, 25.0
@@ -104,8 +104,8 @@ def _runtime_estimate(n: int) -> str:
 def enumerate_canonical(n: int, jobs: int = 1, cap: int = 20) -> ClassListing:
     """All canonical representatives of length n as a sorted listing.
 
-    Runs the two-phase sweep (`run_sweep`) with `jobs` processes; n = 2
-    has no boundary seeds, so its one class comes from
+    Runs the two-phase search over every row-sum target with `jobs`
+    processes; n = 2 has no boundary seeds, so its one class comes from
     `brute_force_classes`.  Refuses n beyond `cap` (n = 20 takes about
     14 minutes, and the sweep grows about 25x per length step there);
     raise the cap explicitly to run longer jobs.
@@ -122,9 +122,9 @@ def enumerate_canonical(n: int, jobs: int = 1, cap: int = 20) -> ClassListing:
         raise ValueError("jobs must be >= 1")
     if n == 2:
         return brute_force_classes(2)[1]
-    from .search import run_sweep  # search imports this module
+    from .search import SearchConfig, search  # search imports this module
 
-    return run_sweep(n, jobs=jobs)
+    return search(SearchConfig(n=n), jobs=jobs)
 
 
 def _pm_rows(length: int) -> np.ndarray:

@@ -51,13 +51,16 @@ boundary) are filled instead by the pairwise walk, with the remaining lag
 constraints and the canonical prefix pruning enforced; it too keeps
 every canonical completion.  Both paths emit in the walk's order.
 
-One driver serves both `search` (one row-sum target, with stop and
-checkpoint) and `run_sweep` (every target, which `enumerate_canonical`
-runs): a stream of hit lists for (group, seed) items in order, computed
-in this process or in one pool of worker processes.  `run_sweep` makes
-one pass over the seeds, with one C pool over every live c sum and one
-D pool over every live d sum; its seeds are sorted by their (C, D)
-bucket keys, and each key is a group whose pairs are screened once.
+`search` is the one driver.  A config with `squares` hunts one signed
+row-sum target: its seeds stream lazily in generation order, and A and
+B must hit the target's sums.  A config without `squares` sweeps every
+target (`enumerate_canonical` runs it): one C pool over every live c
+sum and one D pool over every live d sum, A and B sums left free, and
+the seeds sorted by their (C, D) bucket keys, each key a group whose
+pairs are screened once.  Either way the run is a stream of hit lists
+for (group, seed) items in order, computed in this process or in one
+pool of worker processes, and its checkpoint counts the items done in
+that order, so a sweep stops, resumes and slices like a hunt.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import decode, encode, read_listing
+from .codec import encode, read_listing
 from .core import TurynQuad, _ab_clause, is_canonical, verify_tt
 from .engine import PairDfs, fill_plan, seed_plan
 from .enumeration import (
@@ -113,11 +116,13 @@ class SearchConfig:
 
     `squares` carries the signed row-sum targets (a, b, c, d): pools are
     keyed by the signed sums c and d, and completed quadruples are kept
-    only when A and B hit the signed sums a and b.
+    only when A and B hit the signed sums a and b.  It must be a signed
+    decomposition of 6n - 2 (see `decompositions`).  None, the default,
+    means every signed target: the run lists every class at length n.
     """
 
     n: int
-    squares: Decomposition
+    squares: Decomposition | None = None
     head_len: int | None = None
     d_head_len: int | None = None
     grid_points: int = 600
@@ -127,7 +132,15 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 4 or self.n % 2:
             raise ValueError(f"search needs even n >= 4, got {self.n}")
-        object.__setattr__(self, "squares", Decomposition(*self.squares))
+        if self.squares is not None:
+            squares = Decomposition(*self.squares)
+            if squares not in _signed_squares(self.n):
+                raise ValueError(
+                    f"squares {squares.a},{squares.b},{squares.c},{squares.d} is not a "
+                    f"row-sum target at n={self.n}: need a^2 + b^2 + 2c^2 + 2d^2 = "
+                    f"{6 * self.n - 2} with a, b, c even and d odd"
+                )
+            object.__setattr__(self, "squares", squares)
         if self.head_len is None:
             object.__setattr__(self, "head_len", default_head_len(self.n))
         if self.d_head_len is None:
@@ -150,9 +163,9 @@ class SearchConfig:
             raise ValueError("stop_after must be >= 1 or None")
 
     def describe(self) -> str:
-        a, b, c, d = self.squares
+        squares = "all" if self.squares is None else ",".join(map(str, self.squares))
         return (
-            f"n={self.n};squares={a},{b},{c},{d};head={self.head_len};"
+            f"n={self.n};squares={squares};head={self.head_len};"
             f"d_head={self.d_head_len};grid={self.grid_points};"
             f"bound={float(self.spectral_bound)!r}"
         )
@@ -631,7 +644,7 @@ def _worker_hits(item):
     return _WORKER_STATE["work"].hits(item)
 
 
-def _hit_stream(items, work_args, jobs, chunksize=_BATCH_SEEDS):
+def _hit_stream(items, work_args, jobs, chunksize):
     """Yield the hit list of each (group, seed) item, in item order.
 
     `work_args` are the arguments of `_SeedWork`.  With `jobs == 1` an
@@ -681,21 +694,44 @@ def _read_checkpoint(path, cfg) -> tuple[int, bool]:
     return seed_index, done
 
 
+def _work_items(cfg: SearchConfig, jobs: int):
+    """A run's (group, seed) items in checkpoint order, its `_SeedWork` args and chunk size.
+
+    One target streams its seeds lazily in generation order, all in one
+    group.  Every target sorts the seeds by their (C, D) bucket keys, so
+    each bucket pair is screened once; its key is the group of its items.
+    """
+    if cfg.squares is not None:
+        a, b, c, d = cfg.squares
+        items = ((0, seed) for seed in generate_seeds(cfg))
+        return items, (cfg, [(c, d)], (a, b)), _BATCH_SEEDS
+    targets = {(squares.c, squares.d) for squares in _signed_squares(cfg.n)}
+    seeds = list(generate_seeds(cfg))
+    groups = [(seed.c_bucket_key(), seed.d_bucket_key()) for seed in seeds]
+    items = sorted(zip(groups, seeds), key=lambda item: item[0])
+    # About four chunks per worker: whole bucket groups rarely split, and
+    # no worker waits long for the last chunk.
+    chunksize = max(1, -(-len(items) // (4 * jobs)))
+    return items, (cfg, targets, None), chunksize
+
+
 def search(
     cfg: SearchConfig,
     jobs: int = 1,
     checkpoint_path: str | None = None,
     results_path: str | None = None,
     max_seeds_per_run: int | None = None,
-) -> list[TurynQuad]:
-    """Run one configured search; returns canonical quadruples sorted by code.
+) -> ClassListing:
+    """Run one configured search; returns the canonical hits as a sorted listing.
 
-    Seeds are processed one at a time, so `cfg.stop_after` ends the run
-    at the seed that yields the last hit wanted.  New hits are appended
-    to `results_path` in listing format.  With `checkpoint_path` the run
-    records progress after every 256 seeds, at each seed with a new hit
-    and at the end, always after the hits it covers are written; a later
-    call resumes where it stopped (the checkpoint is bound to the config
+    Without `cfg.squares` the run sweeps every target, and the listing
+    holds every class at length n.  Seeds are processed one at a time,
+    so `cfg.stop_after` ends the run at the seed that yields the last
+    hit wanted.  New hits are appended to `results_path` in listing
+    format, in the order found.  With `checkpoint_path` the run records
+    progress after every 256 seeds, at each seed with a new hit and at
+    the end, always after the hits it covers are written; a later call
+    resumes where it stopped (the checkpoint is bound to the config
     hash).  `max_seeds_per_run` caps how many seeds this call processes,
     leaving the rest for a resumed call.
     """
@@ -712,13 +748,14 @@ def search(
                 found[code] = None
     if done:
         # A finished run needs no pools.
-        return [decode(code, cfg.n) for code in sorted(found)]
+        return ClassListing(cfg.n, tuple(sorted(found)))
     if results_path and not resuming:
         with open(results_path, "w") as fh:
             fh.write(f"# search {cfg.describe()}\n")
 
+    items, work_args, chunksize = _work_items(cfg, jobs)
     stop = None if max_seeds_per_run is None else start + max_seeds_per_run
-    seeds = itertools.islice(generate_seeds(cfg), start, stop)
+    items = itertools.islice(items, start, stop)
     processed = start
     new_codes: list[str] = []
 
@@ -729,14 +766,12 @@ def search(
                 base = len(found) - len(new_codes)
                 for offset, code in enumerate(new_codes, start=1):
                     fh.write(f"{base + offset} {code}\n")
-            new_codes.clear()
+        new_codes.clear()
         if checkpoint_path:
             _write_checkpoint(checkpoint_path, cfg, processed, done)
 
     stopped = False
-    a, b, c, d = cfg.squares
-    items = ((0, seed) for seed in seeds)
-    for hits in _hit_stream(items, (cfg, [(c, d)], (a, b)), jobs):
+    for hits in _hit_stream(items, work_args, jobs, chunksize):
         processed += 1
         for code in hits:
             if code not in found and not stopped:
@@ -749,67 +784,20 @@ def search(
             save(done=False)
     # A stop or a full pass marks completion; the end of this call's slice does not.
     save(done=stopped or stop is None or processed < stop)
-    return [decode(code, cfg.n) for code in sorted(found)]
+    return ClassListing(cfg.n, tuple(sorted(found)))
 
 
-def sweep_configs(
-    n: int,
-    head_len: int | None = None,
-    d_head_len: int | None = None,
-    grid_points: int = 600,
-    spectral_bound: float | None = None,
-) -> list[SearchConfig]:
-    """One SearchConfig per signed/ordered row-sum target at length n."""
+@functools.cache
+def _signed_squares(n: int) -> tuple[Decomposition, ...]:
+    """Every signed, ordered row-sum target (a, b, c, d) at length n, sorted."""
     variants = set()
     for a, b, c, d in decompositions(n):
-        orders = {(a, b), (b, a)}
-        for aa, bb in orders:
-            for sa in ((1,) if aa == 0 else (1, -1)):
-                for sb in ((1,) if bb == 0 else (1, -1)):
-                    for sc in ((1,) if c == 0 else (1, -1)):
-                        for sd in ((1,) if d == 0 else (1, -1)):
-                            variants.add((sa * aa, sb * bb, sc * c, sd * d))
-    return [
-        SearchConfig(
-            n=n,
-            squares=Decomposition(*squares),
-            head_len=head_len,
-            d_head_len=d_head_len,
-            grid_points=grid_points,
-            spectral_bound=spectral_bound,
-        )
-        for squares in sorted(variants)
-    ]
+        for ordered in {(a, b, c, d), (b, a, c, d)}:
+            for signs in itertools.product((1, -1), repeat=4):
+                variants.add(Decomposition(*(s * v for s, v in zip(signs, ordered))))
+    return tuple(sorted(variants))
 
 
-def run_sweep(
-    n: int,
-    jobs: int = 1,
-    head_len: int | None = None,
-    d_head_len: int | None = None,
-    grid_points: int = 600,
-    spectral_bound: float | None = None,
-) -> ClassListing:
-    """Every equivalence class at length n via the two-phase search.
-
-    Unions the search over all signed (c, d) pool targets in one pass
-    over the seeds; the row sums of A and B are left free, which cannot
-    miss a class since each class's canonical member is found under its
-    own (c, d) target.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    configs = sweep_configs(n, head_len, d_head_len, grid_points, spectral_bound)
-    targets = {(cfg.squares.c, cfg.squares.d) for cfg in configs}
-    seeds = list(generate_seeds(configs[0]))
-    # Seeds naming the same buckets run together, so each (C, D) bucket
-    # pair is screened once; its key is the group of its items.
-    groups = [(seed.c_bucket_key(), seed.d_bucket_key()) for seed in seeds]
-    items = sorted(zip(groups, seeds), key=lambda item: item[0])
-    # About four chunks per worker: whole bucket groups rarely split, and
-    # no worker waits long for the last chunk.
-    chunksize = max(1, -(-len(items) // (4 * jobs)))
-    codes: set[str] = set()
-    for hits in _hit_stream(items, (configs[0], targets, None), jobs, chunksize):
-        codes.update(hits)
-    return ClassListing(n, tuple(sorted(codes)))
+def sweep_configs(n: int) -> list[SearchConfig]:
+    """One single-target SearchConfig per signed/ordered row-sum target at length n."""
+    return [SearchConfig(n=n, squares=squares) for squares in _signed_squares(n)]

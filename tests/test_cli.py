@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TT38_CODE, child_env, load_reference_text
+from conftest import TT38_CODE, child_env, load_reference_codes, load_reference_text
 from turynseq.cli import main
 from turynseq.codec import decode, read_listing
 from turynseq.enumeration import decompositions
@@ -149,19 +149,48 @@ class TestSearch:
         cfg.write_text("n=10\nsquares=0,0,2,5\n")
         ck = tmp_path / "ck.txt"
         ck.write_text("not a checkpoint\n")
-        rc, _, err = run_cli(["search", str(cfg), "--resume", str(ck)], capsys)
+        out_file = tmp_path / "results.txt"
+        argv = ["search", str(cfg), "--resume", str(ck), "--out", str(out_file)]
+        rc, _, err = run_cli(argv, capsys)
         assert rc == 2
         assert "checkpoint" in err
 
-    def test_sweep_rejects_resume_and_stop_after(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("n=8\n")
+    def test_resume_without_out_exits_2(self, capsys, tmp_path):
+        # Its hits would be written nowhere, and a second call would find 0.
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("n=10\nsquares=0,0,2,5\n")
         ck = tmp_path / "ck.txt"
-        rc, _, err = run_cli(["search", str(cfg), "--resume", str(ck)], capsys)
+        rc, out, err = run_cli(["search", str(cfg), "--resume", str(ck)], capsys)
         assert rc == 2
-        assert "single-target" in err
-        rc, _, err = run_cli(["search", str(cfg), "--stop-after", "1"], capsys)
+        assert "--out" in err
+        assert "found" not in out
+        assert not ck.exists()
+
+    def test_squares_off_target_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("n=16\nsquares=8,-2,2,2\n")
+        rc, out, err = run_cli(["search", str(cfg)], capsys)
         assert rc == 2
+        assert "not a row-sum target" in err
+        assert "found" not in out
+
+    def test_sweep_stop_after(self, capsys, tmp_path):
+        # The sweep stops at the seed of its second hit, like a hunt.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n=10\n")
+        ck, out_file = tmp_path / "ck.txt", tmp_path / "found.txt"
+        argv = ["search", str(cfg), "--stop-after", "2"]
+        rc, out, _ = run_cli(argv + ["--resume", str(ck), "--out", str(out_file)], capsys)
+        assert rc == 0
+        assert "n=10: 2 classes" in out
+        hits = read_listing(out_file.read_text())
+        assert [index for index, _ in hits] == [1, 2]
+        assert {code for _, code in hits} <= set(load_reference_codes("reference_n10.txt"))
+        assert "done=1" in ck.read_text()
+        assert out_file.read_text().startswith("# search n=10;squares=all;")
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == 0
+        assert "n=10: 2 classes" in out
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -13,6 +13,7 @@ import pytest
 import turynseq.search as search_module
 from conftest import (
     PUBLISHED_CODES,
+    REFERENCE_COUNTS,
     TT38_A,
     TT38_B,
     TT38_C,
@@ -34,7 +35,6 @@ from turynseq.search import (
     default_head_len,
     fill_middle,
     generate_seeds,
-    run_sweep,
     search,
     sweep_configs,
 )
@@ -48,6 +48,11 @@ def tt38_quad() -> TurynQuad:
 def cfg10(**kw) -> SearchConfig:
     kw.setdefault("squares", Decomposition(0, 0, 2, 5))
     return SearchConfig(n=10, **kw)
+
+
+def sweep(n: int, **kw):
+    """Every class at length n, through `search` without a row-sum target."""
+    return search(SearchConfig(n=n), **kw)
 
 
 def checkpoint_fields(path) -> dict[str, str]:
@@ -106,6 +111,22 @@ class TestSearchConfig:
         # Existing checkpoints carry this hash and must still resume.
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
         assert cfg.run_hash() == "dc4ae9817529cceb"
+
+    def test_no_squares_means_every_target(self):
+        cfg = SearchConfig(n=10)
+        assert cfg.squares is None
+        assert cfg.describe() == "n=10;squares=all;head=2;d_head=1;grid=600;bound=29.0"
+        assert cfg.run_hash() not in {c.run_hash() for c in sweep_configs(10)}
+
+    def test_squares_must_be_a_signed_decomposition(self):
+        # 64 + 4 + 8 + 8 = 84, not 6n - 2 = 94: no seed could ever hit it.
+        with pytest.raises(ValueError, match="not a row-sum target at n=16"):
+            SearchConfig(n=16, squares=Decomposition(8, -2, 2, 2))
+        # 0 + 0 + 2 + 56 = 58 = 6n - 2 at n = 10, but c must be even.
+        with pytest.raises(ValueError, match="row-sum target"):
+            cfg10(squares=Decomposition(0, 0, 1, 5))
+        for cfg in sweep_configs(10):
+            assert SearchConfig(n=10, squares=tuple(cfg.squares)) == cfg
 
 
 class TestSeedQuad:
@@ -442,14 +463,14 @@ class TestJoin:
         monkeypatch.setattr(
             search_module, "_hash_weights", lambda count: np.zeros(count, np.int64)
         )
-        assert list(run_sweep(10).codes) == reference_codes[10]
+        assert list(sweep(10).codes) == reference_codes[10]
 
     def test_short_middles_never_walk(self, monkeypatch, reference_codes):
         def no_walk(*args):
             raise AssertionError("a middle of 6 entries must be joined")
 
         monkeypatch.setattr(search_module, "_fill", no_walk)
-        assert list(run_sweep(10).codes) == reference_codes[10]
+        assert list(sweep(10).codes) == reference_codes[10]
 
     def test_row_sum_targets_filter_before_verify(self, monkeypatch):
         # With (c, d) = (4, 3) the sums of A and B are fixed only up to
@@ -516,7 +537,7 @@ class TestPairScreen:
                 return real(*args)
 
             monkeypatch.setattr(search_module, name, counting)
-        assert len(run_sweep(12)) == 127
+        assert len(sweep(12)) == 127
         assert calls["_completions"] <= 72
         assert calls["_pair_block"] <= 24
 
@@ -531,7 +552,7 @@ class TestSearch:
             if decode(code, 10).row_sums() == (0, 0, 2, 5)
         )
         hits = search(cfg10())
-        assert [encode(q, form="compact") for q in hits] == expected
+        assert list(hits.codes) == expected
 
     def test_stop_after_limits_output(self):
         hits = search(cfg10(stop_after=1))
@@ -540,27 +561,55 @@ class TestSearch:
     def test_jobs_deterministic(self):
         serial = search(cfg10())
         parallel = search(cfg10(), jobs=2)
-        assert [str(q) for q in serial] == [str(q) for q in parallel]
+        assert serial.codes == parallel.codes
 
     def test_sliced_runs_resume_to_same_result(self, tmp_path):
-        cfg = cfg10()
-        one_shot = search(cfg)
-        ck = tmp_path / "checkpoint.txt"
-        rs = tmp_path / "results.txt"
-        sliced = []
-        for _ in range(1000):
-            sliced = search(
-                cfg,
-                checkpoint_path=str(ck),
-                results_path=str(rs),
-                max_seeds_per_run=3,
-            )
-            if "done=1" in ck.read_text():
-                break
-        assert [str(q) for q in sliced] == [str(q) for q in one_shot]
-        # A further call is a no-op returning the same set.
-        again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
-        assert [str(q) for q in again] == [str(q) for q in one_shot]
+        # One target at n=10, then every target at n=12 (72 seeds).
+        for cfg in (cfg10(), SearchConfig(n=12)):
+            run_dir = tmp_path / f"n{cfg.n}"
+            run_dir.mkdir()
+            full_rs = run_dir / "uninterrupted.txt"
+            one_shot = search(cfg, results_path=str(full_rs))
+            ck = run_dir / "checkpoint.txt"
+            rs = run_dir / "results.txt"
+            sliced = None
+            for _ in range(1000):
+                sliced = search(
+                    cfg,
+                    checkpoint_path=str(ck),
+                    results_path=str(rs),
+                    max_seeds_per_run=3,
+                )
+                if "done=1" in ck.read_text():
+                    break
+            assert one_shot
+            assert sliced == one_shot
+            assert rs.read_bytes() == full_rs.read_bytes()
+            # A further call is a no-op returning the same set.
+            again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
+            assert again == one_shot
+
+    def test_checkpoint_is_not_rewritten_after_every_seed(self, tmp_path, monkeypatch):
+        # Hits not yet saved once kept every later seed saving when there
+        # was no results file: 1,483 writes for 1,546 seeds, against 24.
+        writes = []
+        real_write = search_module._write_checkpoint
+
+        def counting(path, cfg, seed_index, done):
+            writes.append(seed_index)
+            real_write(path, cfg, seed_index, done)
+
+        monkeypatch.setattr(search_module, "_write_checkpoint", counting)
+        cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
+        counts = {}
+        for results in (None, "results.txt"):
+            writes.clear()
+            ck = tmp_path / f"{results}.ckpt"
+            results_path = None if results is None else str(tmp_path / results)
+            assert len(search(cfg, checkpoint_path=str(ck), results_path=results_path)) == 17
+            assert writes[-1] == 1546
+            counts[results] = len(writes)
+        assert counts == {None: 24, "results.txt": 24}
 
     def test_resume_of_finished_run_builds_no_pool(self, tmp_path, monkeypatch):
         cfg = cfg10()
@@ -575,7 +624,7 @@ class TestSearch:
         monkeypatch.setattr(search_module.SequencePool, "_build_bucket", no_pool)
         again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
         assert first
-        assert [str(q) for q in again] == [str(q) for q in first]
+        assert again == first
 
     def test_stop_after_pulls_no_seed_past_the_hit(self, tmp_path, monkeypatch):
         # Seeds were once filled in batches of 256 before stop_after was
@@ -632,7 +681,7 @@ class TestSearch:
         # candidate rows; one bucket's middle has at most comb(16, 8).
         cfg = SearchConfig(n=28, squares=Decomposition(4, 2, 8, -3))
         ck = tmp_path / "checkpoint.txt"
-        assert search(cfg, checkpoint_path=str(ck), max_seeds_per_run=8) == []
+        assert search(cfg, checkpoint_path=str(ck), max_seeds_per_run=8).codes == ()
         assert checkpoint_fields(ck) == {
             "config": cfg.run_hash(),
             "seed_index": "8",
@@ -661,10 +710,12 @@ class TestKillAndResume:
     # One n=16 target with 1,546 seeds and 17 hits: long enough to kill
     # partway, short enough for the default suite.
     CONFIG = "n = 16\nsquares = 8, -2, 2, 3\n"
+    # Every target at n=16: the same 1,546 seeds, sorted by bucket keys.
+    SWEEP_CONFIG = "n = 16\n"
 
-    def command(self, tmp_path, name):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(self.CONFIG)
+    def command(self, tmp_path, name, config=CONFIG):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
         ck, out = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.txt"
         argv = [sys.executable, "-m", "turynseq.cli", "search", str(cfg)]
         return argv + ["--resume", str(ck), "--out", str(out)], ck, out
@@ -676,8 +727,13 @@ class TestKillAndResume:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    def test_killed_run_resumes_to_the_uninterrupted_listing(self, tmp_path):
-        argv, ck, out = self.command(tmp_path, "killed")
+    def kill_and_resume(self, tmp_path, config) -> tuple[str, str]:
+        """Kill a run past seed 256, resume it to the end, and run it again whole.
+
+        Returns the stdout of the last resumed call and of the whole run,
+        after checking that their results files are byte-identical.
+        """
+        argv, ck, out = self.command(tmp_path, "killed", config)
         child = subprocess.Popen(
             argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env()
         )
@@ -704,11 +760,20 @@ class TestKillAndResume:
                 break
         assert checkpoint_fields(ck)["done"] == "1"
 
-        full_argv, _, full_out = self.command(tmp_path, "uninterrupted")
+        full_argv, _, full_out = self.command(tmp_path, "uninterrupted", config)
         full = self.run(full_argv)
+        assert out.read_bytes() == full_out.read_bytes()
+        return resumed, full
+
+    def test_killed_run_resumes_to_the_uninterrupted_listing(self, tmp_path):
+        resumed, full = self.kill_and_resume(tmp_path, self.CONFIG)
         assert ": 17 found" in resumed
         assert ": 17 found" in full
-        assert out.read_bytes() == full_out.read_bytes()
+
+    def test_killed_sweep_resumes_to_the_uninterrupted_listing(self, tmp_path):
+        resumed, full = self.kill_and_resume(tmp_path, self.SWEEP_CONFIG)
+        assert f"n=16: {REFERENCE_COUNTS[16]} classes" in resumed
+        assert f"n=16: {REFERENCE_COUNTS[16]} classes" in full
 
 
 class TestSweep:
@@ -722,23 +787,23 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_reproduces_enumeration(self, n, reference_codes):
-        assert list(run_sweep(n).codes) == reference_codes[n]
+        assert list(sweep(n).codes) == reference_codes[n]
 
     def test_reproduces_enumeration_n12(self, dfs_oracle):
-        assert list(run_sweep(12).codes) == dfs_oracle(12)
+        assert list(sweep(12).codes) == dfs_oracle(12)
 
     def test_jobs_deterministic(self):
         for n in (8, 10, 12):
-            assert run_sweep(n, jobs=2).codes == run_sweep(n).codes, f"n={n}"
+            assert sweep(n, jobs=2).codes == sweep(n).codes, f"n={n}"
 
     def test_rejects_jobs_below_one(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_sweep(8, jobs=0)
+            sweep(8, jobs=0)
 
     def test_union_of_configured_searches_matches_sweep(self):
         # The per-config searches pin A's and B's signed sums as well;
         # their union over the full signed sweep is the same class set.
         codes = set()
         for cfg in sweep_configs(8):
-            codes.update(encode(q, form="compact") for q in search(cfg))
-        assert sorted(codes) == list(run_sweep(8).codes)
+            codes.update(search(cfg).codes)
+        assert sorted(codes) == list(sweep(8).codes)
