@@ -122,9 +122,10 @@ class TestSearchConfig:
         # 64 + 4 + 8 + 8 = 84, not 6n - 2 = 94: no seed could ever hit it.
         with pytest.raises(ValueError, match="not a row-sum target at n=16"):
             SearchConfig(n=16, squares=Decomposition(8, -2, 2, 2))
-        # 0 + 0 + 2 + 56 = 58 = 6n - 2 at n = 10, but c must be even.
+        # 25 + 1 + 0 + 32 = 58 = 6n - 2 at n = 10, but a and b must be
+        # even and d odd.
         with pytest.raises(ValueError, match="row-sum target"):
-            cfg10(squares=Decomposition(0, 0, 1, 5))
+            cfg10(squares=Decomposition(5, 1, 0, 4))
         for cfg in sweep_configs(10):
             assert SearchConfig(n=10, squares=tuple(cfg.squares)) == cfg
 
