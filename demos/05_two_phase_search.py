@@ -12,13 +12,11 @@ Demonstrated here at n=10, where the answer is known to be 43 classes.
 from turynseq import (
     SearchConfig,
     SeedQuad,
-    build_pool,
     decode,
     encode,
     enumerate_canonical,
     fill_middle,
     generate_seeds,
-    sweep_configs,
 )
 from turynseq.search import search
 
@@ -38,13 +36,12 @@ print("boundary seeds:", len(seeds))
 # Phase two ingredient: pools of full C and D rows with the target
 # signed sum whose spectra stay below (6n-2)/2 on a grid.  The identity
 # f_A + f_B + 2 f_C + 2 f_D = 6n-2 with f >= 0 makes that bound safe:
-# no row belonging to a valid quadruple is ever filtered out.  A search
-# builds a pool bucket by bucket, from the middle entries, when a seed
-# first names a boundary; build_pool builds every bucket at once.
-pool_c = build_pool(10, "C", cfg.squares.c, cfg)
-pool_d = build_pool(10, "D", cfg.squares.d, cfg)
-print("C pool:", pool_c.total, "rows in", len(pool_c.buckets), "boundary buckets")
-print("D pool:", pool_d.total, "rows in", len(pool_d.buckets), "boundary buckets")
+# no row belonging to a valid quadruple is ever filtered out.  A pool is
+# bucketed by the boundary entries of its rows, and a search builds a
+# bucket, from its middle entries alone, when a seed first names it.
+c_keys = {seed.c_bucket_key() for seed in seeds}
+d_keys = {seed.d_bucket_key() for seed in seeds}
+print("seeds name", len(c_keys), "C buckets and", len(d_keys), "D buckets")
 
 # The search joins seeds with pool rows matching their boundaries,
 # keeps (C, D) pairs with f_C + f_D below the bound, and completes the
@@ -70,11 +67,9 @@ print("\ncompletions of the first hit's own seed and rows:", len(completions))
 # over the seeds and reproduces the full class list, which is what
 # enumerate_canonical runs.  A sweep checkpoints, resumes and stops
 # after K hits exactly like a one-target hunt.
-configs = sweep_configs(10)
-print("\nsweep covers", len(configs), "signed row-sum targets")
 swept = search(SearchConfig(n=10))
 assert swept == enumerate_canonical(10)
-print("sweep reproduces the enumerated listing:", len(swept), "classes")
+print("\nsweep reproduces the enumerated listing:", len(swept), "classes")
 
 # The same machinery scales to n=38: decode the known solution, mask
 # its middles, and phase two recovers the published A and B rows from

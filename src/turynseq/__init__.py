@@ -47,10 +47,8 @@ from .search import (
     CheckpointError,
     SearchConfig,
     SeedQuad,
-    build_pool,
     fill_middle,
     generate_seeds,
-    sweep_configs,
 )
 from .seqs import (
     BinarySeq,
@@ -58,9 +56,7 @@ from .seqs import (
     concat,
     half_combine,
     naf_all,
-    row_sum,
     spectrum_value,
-    transform,
 )
 
 __all__ = [
@@ -80,7 +76,6 @@ __all__ = [
     "all_elements",
     "base_to_t",
     "brute_force_classes",
-    "build_pool",
     "canonicalize",
     "class_sum_profiles",
     "concat",
@@ -99,10 +94,7 @@ __all__ = [
     "orbit",
     "read_listing",
     "realizability_report",
-    "row_sum",
     "spectrum_value",
-    "sweep_configs",
-    "transform",
     "tt_to_base",
     "verify_base",
     "verify_t",

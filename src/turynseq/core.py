@@ -343,13 +343,6 @@ def canonicalize(s: TurynQuad) -> TurynQuad:
     return next(iter(hits))
 
 
-def equivalent(s1: TurynQuad, s2: TurynQuad) -> bool:
-    """True iff the two quadruples lie in the same equivalence class."""
-    if s1.n != s2.n:
-        raise ValueError(f"cannot compare quadruples with n={s1.n} and n={s2.n}")
-    return canonicalize(s1) == canonicalize(s2)
-
-
 def phi(s: TurynQuad) -> int:
     """The endpoint product a_1 * a_n.
 

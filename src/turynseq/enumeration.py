@@ -196,16 +196,13 @@ def _sum_profile(quad: TurynQuad) -> Decomposition:
     return Decomposition(max(ra, rb), min(ra, rb), rc, rd)
 
 
-def class_sum_profiles(quad: TurynQuad, full_orbit: bool = False) -> set[Decomposition]:
+def class_sum_profiles(quad: TurynQuad) -> set[Decomposition]:
     """Row-sum decompositions realized across a quadruple's class.
 
     Negation and swap only permute/negate the row sums, and reversal fixes
     them, so up to absolute values the class realizes exactly the profiles
     of the quadruple and of its image under the alternation generator.
-    Set `full_orbit` to recompute this the slow way over the whole orbit.
     """
-    if full_orbit:
-        return {_sum_profile(member) for member in orbit(quad)}
     return {_sum_profile(quad), _sum_profile(g_apply(ALTERNATE, quad))}
 
 

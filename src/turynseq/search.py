@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import encode, read_listing
+from .codec import encode, read_listing, write_listing
 from .core import TurynQuad, _ab_clause, is_canonical, verify_tt
 from .engine import PairDfs, fill_plan, seed_plan
 from .enumeration import (
@@ -276,10 +276,14 @@ class PoolBucket:
 class SequencePool:
     """Spectrum-passing rows of one kind and a set of signed row sums, by boundary.
 
-    `buckets` maps each boundary key built so far to its bucket, or to
-    None when no row passes.  A bucket holds the rows of each of `sums`
-    extending its boundary, sum by sum in ascending order; within a sum,
-    rows come in the lexicographic order of their middle's -1 positions.
+    C rows have length n and D rows n - 1; buckets are keyed by the
+    (first, last) `bucket_len` entries, `head_len` for C and `d_head_len`
+    for D.  `buckets` maps each boundary key built so far to its bucket,
+    or to None when no row passes.  A bucket holds the rows of each of
+    `sums` extending its boundary, sum by sum in ascending order; within
+    a sum, rows come in the lexicographic order of their middle's -1
+    positions.  Each sum's part of a bucket may have at most `_CAP_ROWS`
+    candidate rows.
     """
 
     kind: str
@@ -288,25 +292,12 @@ class SequencePool:
     bucket_len: int
     buckets: dict
     cfg: SearchConfig
-    cap_rows: int
-
-    @property
-    def total(self) -> int:
-        return sum(b.rows.shape[0] for b in self.buckets.values() if b is not None)
 
     @functools.cached_property
     def _cos_table(self) -> np.ndarray:
         lags = np.arange(self.length)
         grid = np.arange(1, self.cfg.grid_points + 1) * (np.pi / self.cfg.grid_points)
         return np.cos(lags[:, None] * grid[None, :])
-
-    def _check_cap(self, count: int, row_sum: int, what: str = "") -> None:
-        if count > self.cap_rows:
-            raise FeasibilityError(
-                f"{what}pool for {self.kind} with sum {row_sum} has {count} "
-                f"candidate rows (cap {self.cap_rows}); the cap can be raised only by "
-                "calling build_pool(..., cap_rows=...) from Python"
-            )
 
     def bucket(self, key) -> PoolBucket | None:
         """The passing rows extending boundary `key`, built on first use."""
@@ -329,7 +320,12 @@ class SequencePool:
             negatives -= (head + tail).count(-1)
             if not 0 <= negatives <= middle:
                 continue
-            self._check_cap(math.comb(middle, negatives), row_sum, f"bucket {key} of ")
+            count = math.comb(middle, negatives)
+            if count > _CAP_ROWS:
+                raise FeasibilityError(
+                    f"{self.kind} bucket {key} with sum {row_sum} has {count} "
+                    f"candidate rows (cap {_CAP_ROWS})"
+                )
             combos = itertools.combinations(range(h, h + middle), negatives)
             while chunk := list(itertools.islice(combos, 4096)):
                 rows = np.repeat(template[None], len(chunk), axis=0)
@@ -352,39 +348,10 @@ def _negatives(length: int, row_sum: int, cfg: SearchConfig) -> int | None:
     return negatives
 
 
-def _lazy_pool(n, kind, sums, cfg, cap_rows=_CAP_ROWS) -> SequencePool:
+def _lazy_pool(n, kind, sums, cfg) -> SequencePool:
     """A pool of the given row sums holding no rows yet; buckets are built on request."""
-    if kind not in ("C", "D"):
-        raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
     length, bucket_len = (n, cfg.head_len) if kind == "C" else (n - 1, cfg.d_head_len)
-    return SequencePool(kind, length, tuple(sorted(set(sums))), bucket_len, {}, cfg, cap_rows)
-
-
-def build_pool(
-    n: int,
-    kind: str,
-    target_sum: int,
-    cfg: SearchConfig,
-    cap_rows: int = _CAP_ROWS,
-) -> SequencePool:
-    """All full rows of the given kind and signed sum passing the grid bound.
-
-    C rows have length n, D rows length n - 1.  Buckets are keyed by the
-    (first, last) `head_len` entries (`d_head_len` for D); every bucket
-    with a row is built.  A row sum whose square already exceeds the
-    bound (f(0) = sum^2) gives an empty pool, as does a sum of impossible
-    parity or magnitude.
-    """
-    pool = _lazy_pool(n, kind, (target_sum,), cfg, cap_rows)
-    negatives = _negatives(pool.length, target_sum, cfg)
-    if negatives is None:
-        return pool
-    pool._check_cap(math.comb(pool.length, negatives), target_sum)
-    boundary = itertools.product((1, -1), repeat=pool.bucket_len)
-    for key in itertools.product(list(boundary), repeat=2):
-        if pool.bucket(key) is None:
-            del pool.buckets[key]
-    return pool
+    return SequencePool(kind, length, tuple(sorted(set(sums))), bucket_len, {}, cfg)
 
 
 def _check_fill_args(seed: SeedQuad, c_entries, d_entries):
@@ -732,8 +699,9 @@ def search(
     progress after every 256 seeds, at each seed with a new hit and at
     the end, always after the hits it covers are written; a later call
     resumes where it stopped (the checkpoint is bound to the config
-    hash).  `max_seeds_per_run` caps how many seeds this call processes,
-    leaving the rest for a resumed call.
+    hash, and a resume with `results_path` needs that file, which holds
+    the hits found so far).  `max_seeds_per_run` caps how many seeds
+    this call processes, leaving the rest for a resumed call.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -743,15 +711,21 @@ def search(
     resuming = bool(checkpoint_path) and os.path.exists(checkpoint_path)
     if resuming:
         start, done = _read_checkpoint(checkpoint_path, cfg)
-        if results_path and os.path.exists(results_path):
-            for _, code in read_listing(Path(results_path).read_text()):
+        if results_path:
+            try:
+                text = Path(results_path).read_text()
+            except FileNotFoundError:
+                raise CheckpointError(
+                    f"checkpoint {checkpoint_path} covers hits of results file "
+                    f"{results_path}, which is missing"
+                ) from None
+            for _, code in read_listing(text):
                 found[code] = None
     if done:
         # A finished run needs no pools.
         return ClassListing(cfg.n, tuple(sorted(found)))
     if results_path and not resuming:
-        with open(results_path, "w") as fh:
-            fh.write(f"# search {cfg.describe()}\n")
+        Path(results_path).write_text(write_listing([], header=f"search {cfg.describe()}"))
 
     items, work_args, chunksize = _work_items(cfg, jobs)
     stop = None if max_seeds_per_run is None else start + max_seeds_per_run
@@ -762,10 +736,9 @@ def search(
     def save(done):
         # Hits first, so a checkpoint never covers a hit the file lacks.
         if results_path and new_codes:
+            base = len(found) - len(new_codes)
             with open(results_path, "a") as fh:
-                base = len(found) - len(new_codes)
-                for offset, code in enumerate(new_codes, start=1):
-                    fh.write(f"{base + offset} {code}\n")
+                fh.write(write_listing(list(enumerate(new_codes, start=base + 1))))
         new_codes.clear()
         if checkpoint_path:
             _write_checkpoint(checkpoint_path, cfg, processed, done)
@@ -796,8 +769,3 @@ def _signed_squares(n: int) -> tuple[Decomposition, ...]:
             for signs in itertools.product((1, -1), repeat=4):
                 variants.add(Decomposition(*(s * v for s, v in zip(signs, ordered))))
     return tuple(sorted(variants))
-
-
-def sweep_configs(n: int) -> list[SearchConfig]:
-    """One single-target SearchConfig per signed/ordered row-sum target at length n."""
-    return [SearchConfig(n=n, squares=squares) for squares in _signed_squares(n)]

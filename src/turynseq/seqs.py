@@ -148,22 +148,6 @@ def naf_vanishes(seqs, weights) -> bool:
     return not np.any(np.asarray(weights) @ naf_rows(rows))
 
 
-def transform(seq: BinarySeq, kind: str) -> BinarySeq:
-    """Apply one elementary transform: 'negate', 'reverse' or 'alternate'."""
-    if kind == "negate":
-        return seq.negate()
-    if kind == "reverse":
-        return seq.reverse()
-    if kind == "alternate":
-        return seq.alternate()
-    raise ValueError(f"unknown transform kind {kind!r}")
-
-
-def row_sum(seq: Seq) -> int:
-    """Sum of the entries; this is the value A(1) of the generating polynomial."""
-    return sum(seq.entries)
-
-
 def spectrum_rows(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
     """f(theta_j) = N(0) + 2 sum_s N(s) cos(s theta_j) of every row of `rows`.
 

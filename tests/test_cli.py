@@ -11,6 +11,7 @@ from conftest import TT38_CODE, child_env, load_reference_codes, load_reference_
 from turynseq.cli import main
 from turynseq.codec import decode, read_listing
 from turynseq.enumeration import decompositions
+from turynseq.search import SearchConfig
 
 
 def run_cli(argv, capsys):
@@ -165,6 +166,22 @@ class TestSearch:
         assert "--out" in err
         assert "found" not in out
         assert not ck.exists()
+
+    def test_resume_with_results_file_gone_exits_2(self, capsys, tmp_path):
+        # The deleted file held the hits of the first 2 seeds; a resume
+        # without them once printed "2 found" of 4 and marked the run done.
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("n=10\nsquares=0,0,2,5\n")
+        ck, results = tmp_path / "ck.txt", tmp_path / "hits.txt"
+        run_hash = SearchConfig(n=10, squares=(0, 0, 2, 5)).run_hash()
+        ck.write_text(f"config={run_hash}\nseed_index=2\ndone=0\n")
+        argv = ["search", str(cfg), "--resume", str(ck), "--out", str(results)]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert str(results) in err and "missing" in err
+        assert "found" not in out
+        assert "done=0" in ck.read_text()
+        assert not results.exists()
 
     def test_squares_off_target_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "one.cfg"

@@ -26,7 +26,6 @@ from turynseq.core import (
     TurynQuad,
     all_elements,
     canonicalize,
-    equivalent,
     g_apply,
     g_mul,
     is_canonical,
@@ -273,16 +272,16 @@ class TestCanonicalForm:
 
 
 class TestEquivalence:
+    # Two quadruples are equivalent iff one lies in the orbit of the other.
     def test_reflexive_and_single_moves(self):
-        assert equivalent(TT2, TT2)
-        assert equivalent(TT2, g_apply(NEGATE_C, TT2))
+        assert TT2 in orbit(TT2)
+        assert g_apply(NEGATE_C, TT2) in orbit(TT2)
+        assert canonicalize(g_apply(NEGATE_C, TT2)) == canonicalize(TT2)
 
     def test_distinct_classes(self):
-        assert not equivalent(decode("006d6", 6), decode("01396", 6))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            equivalent(TT2, decode("006d6", 6))
+        first, second = decode("006d6", 6), decode("01396", 6)
+        assert second not in orbit(first)
+        assert canonicalize(first) != canonicalize(second)
 
 
 class TestPhi:

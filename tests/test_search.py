@@ -31,14 +31,14 @@ from turynseq.search import (
     CheckpointError,
     SearchConfig,
     SeedQuad,
-    build_pool,
     default_head_len,
     fill_middle,
     generate_seeds,
     search,
-    sweep_configs,
 )
 from turynseq.seqs import BinarySeq, spectrum_value
+
+SIGNED_SQUARES = search_module._signed_squares
 
 
 def tt38_quad() -> TurynQuad:
@@ -53,6 +53,18 @@ def cfg10(**kw) -> SearchConfig:
 def sweep(n: int, **kw):
     """Every class at length n, through `search` without a row-sum target."""
     return search(SearchConfig(n=n), **kw)
+
+
+def every_bucket(pool) -> dict:
+    """Build every bucket of a lazy pool; returns the non-empty ones by key."""
+    boundary = list(itertools.product((1, -1), repeat=pool.bucket_len))
+    for key in itertools.product(boundary, repeat=2):
+        pool.bucket(key)
+    return {key: bucket for key, bucket in pool.buckets.items() if bucket is not None}
+
+
+def pool_rows(pool) -> int:
+    return sum(len(bucket.rows) for bucket in every_bucket(pool).values())
 
 
 def checkpoint_fields(path) -> dict[str, str]:
@@ -116,7 +128,8 @@ class TestSearchConfig:
         cfg = SearchConfig(n=10)
         assert cfg.squares is None
         assert cfg.describe() == "n=10;squares=all;head=2;d_head=1;grid=600;bound=29.0"
-        assert cfg.run_hash() not in {c.run_hash() for c in sweep_configs(10)}
+        one_target = {SearchConfig(n=10, squares=sq).run_hash() for sq in SIGNED_SQUARES(10)}
+        assert cfg.run_hash() not in one_target
 
     def test_squares_must_be_a_signed_decomposition(self):
         # 64 + 4 + 8 + 8 = 84, not 6n - 2 = 94: no seed could ever hit it.
@@ -126,8 +139,8 @@ class TestSearchConfig:
         # even and d odd.
         with pytest.raises(ValueError, match="row-sum target"):
             cfg10(squares=Decomposition(5, 1, 0, 4))
-        for cfg in sweep_configs(10):
-            assert SearchConfig(n=10, squares=tuple(cfg.squares)) == cfg
+        for squares in SIGNED_SQUARES(10):
+            assert SearchConfig(n=10, squares=tuple(squares)) == cfg10(squares=squares)
 
 
 class TestSeedQuad:
@@ -214,9 +227,11 @@ class TestGenerateSeeds:
 
 
 class TestBuildPool:
+    """Buckets of lazy pools, built one boundary at a time as `search` builds them."""
+
     def test_matches_brute_filter_n10(self):
         cfg = cfg10()
-        pool = build_pool(10, "C", 0, cfg)
+        pool = search_module._lazy_pool(10, "C", (0,), cfg)
         # Independent filter: every +-1 row of length 10 with zero sum
         # whose spectrum stays within the bound on the whole grid.
         thetas = [j * np.pi / cfg.grid_points for j in range(1, cfg.grid_points + 1)]
@@ -228,16 +243,16 @@ class TestBuildPool:
             if all(spectrum_value(seq, t) <= cfg.spectral_bound + 1e-6 for t in thetas):
                 expected.add(bits)
         pooled = set()
-        for bucket in pool.buckets.values():
+        for bucket in every_bucket(pool).values():
             for row in bucket.rows:
                 pooled.add(tuple(int(v) for v in row))
         assert pooled == expected
-        assert pool.total == len(expected)
+        assert pool_rows(pool) == len(expected)
 
     def test_bucket_membership_is_partition(self):
-        pool = build_pool(10, "C", 2, cfg10())
+        pool = search_module._lazy_pool(10, "C", (2,), cfg10())
         seen = set()
-        for (head, tail), bucket in pool.buckets.items():
+        for (head, tail), bucket in every_bucket(pool).items():
             assert len(head) == len(tail) == pool.bucket_len
             for row in bucket.rows:
                 key = tuple(int(v) for v in row)
@@ -245,39 +260,41 @@ class TestBuildPool:
                 seen.add(key)
                 assert tuple(key[:2]) == head
                 assert tuple(key[-2:]) == tail
-        assert len(seen) == pool.total
+        assert seen and len(seen) == pool_rows(pool)
 
     def test_sum_square_above_bound_gives_empty_pool(self):
         # f(0) = (row sum)^2, so target 6 with bound 29 is impossible.
-        pool = build_pool(10, "C", 6, cfg10())
-        assert pool.total == 0
+        assert every_bucket(search_module._lazy_pool(10, "C", (6,), cfg10())) == {}
 
     def test_parity_mismatch_gives_empty_pool(self):
-        assert build_pool(10, "C", 3, cfg10()).total == 0
-        assert build_pool(10, "D", 2, cfg10()).total == 0
+        assert every_bucket(search_module._lazy_pool(10, "C", (3,), cfg10())) == {}
+        assert every_bucket(search_module._lazy_pool(10, "D", (2,), cfg10())) == {}
 
     def test_d_pool_uses_d_head_len_buckets(self):
-        pool = build_pool(10, "D", 5, cfg10())
+        pool = search_module._lazy_pool(10, "D", (5,), cfg10())
         assert pool.length == 9
         assert pool.bucket_len == 1
-        for head, tail in pool.buckets:
+        buckets = every_bucket(pool)
+        assert buckets
+        for head, tail in buckets:
             assert len(head) == len(tail) == 1
 
-    def test_row_cap_refusal(self):
-        with pytest.raises(FeasibilityError, match="cap_rows"):
-            build_pool(38, "C", 8, SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3)))
+    def test_row_cap_refusal(self, monkeypatch):
+        # The D bucket of sum -3 at n=38 whose 25-entry middle has 12 of
+        # its entries -1: comb(25, 12) = 5,200,300 candidates.  The
+        # refusal comes before any row is built.
+        def no_rows(*args):
+            raise AssertionError("a refused bucket must build no rows")
 
-    def test_row_cap_message_names_the_only_way_to_raise_it(self):
-        # C rows of length 10 with sum 2 have comb(10, 4) = 210 candidates.
+        monkeypatch.setattr(search_module, "spectrum_rows", no_rows)
+        cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
+        pool = search_module._lazy_pool(38, "D", (-3,), cfg)
+        key = ((1, -1, -1, -1, -1, 1), (-1, -1, -1, -1, 1, 1))
         with pytest.raises(FeasibilityError) as exc:
-            build_pool(10, "C", 2, cfg10(), cap_rows=5)
-        message = str(exc.value)
-        assert "210 candidate rows (cap 5)" in message
-        assert "only by calling build_pool(..., cap_rows=...) from Python" in message
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            build_pool(10, "E", 0, cfg10())
+            pool.bucket(key)
+        assert str(exc.value) == (
+            f"D bucket {key} with sum -3 has 5200300 candidate rows (cap 5000000)"
+        )
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_lazy_buckets_equal_filtered_full_rows(self, n):
@@ -285,7 +302,7 @@ class TestBuildPool:
         # combinations order, with spectra from an FFT on the same grid.
         # A pool over every sum then holds, per boundary, the one-sum
         # buckets concatenated in ascending order of sum.
-        cfg = sweep_configs(n)[0]  # pools depend on n and the widths only
+        cfg = SearchConfig(n=n)  # pools depend on n and the widths only
         limit = cfg.spectral_bound + 1e-6
         g = cfg.grid_points
         for kind, length, h in (("C", n, cfg.head_len), ("D", n - 1, cfg.d_head_len)):
@@ -315,7 +332,7 @@ class TestBuildPool:
                     np.testing.assert_allclose(
                         bucket.spectra, np.array(spectra), rtol=0, atol=1e-9
                     )
-                assert pool.total == sum(map(len, expected.values()))
+                assert pool_rows(pool) == sum(map(len, expected.values()))
             every_sum = search_module._lazy_pool(n, kind, reversed(sums), cfg)
             assert every_sum.sums == tuple(sums)
             for key in itertools.product(boundary, repeat=2):
@@ -330,18 +347,21 @@ class TestBuildPool:
                     bucket.spectra, np.concatenate([p.spectra for p in parts])
                 )
 
-    def test_bucket_row_cap_refusal(self):
+    def test_bucket_row_cap_refusal(self, monkeypatch):
         # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates.
-        pool = search_module._lazy_pool(10, "C", (2,), cfg10(), cap_rows=5)
+        monkeypatch.setattr(search_module, "_CAP_ROWS", 5)
+        pool = search_module._lazy_pool(10, "C", (2,), cfg10())
         with pytest.raises(FeasibilityError, match="15 candidate rows .cap 5."):
             pool.bucket(((1, 1), (1, 1)))
 
-    def test_bucket_row_cap_guards_each_sum_apart(self):
+    def test_bucket_row_cap_guards_each_sum_apart(self, monkeypatch):
         # Same middle: sum 0 has comb(6, 5) = 6 candidates and sum -2 has
         # 1.  Their 7 pass a cap of 6, since each sum's part is capped alone.
-        pool = search_module._lazy_pool(10, "C", (0, -2), cfg10(), cap_rows=6)
+        monkeypatch.setattr(search_module, "_CAP_ROWS", 6)
+        pool = search_module._lazy_pool(10, "C", (0, -2), cfg10())
         assert len(pool.bucket(((1, 1), (1, 1))).rows) <= 7
-        pool = search_module._lazy_pool(10, "C", (0, 2), cfg10(), cap_rows=14)
+        monkeypatch.setattr(search_module, "_CAP_ROWS", 14)
+        pool = search_module._lazy_pool(10, "C", (0, 2), cfg10())
         with pytest.raises(FeasibilityError, match="with sum 2 has 15 candidate rows"):
             pool.bucket(((1, 1), (1, 1)))
 
@@ -380,10 +400,13 @@ class TestSpectralSoundness:
 
 
 class TestFillMiddle:
-    def test_recovers_published_tt38(self):
-        quad = tt38_quad()
-        cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
-        seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
+    @pytest.mark.parametrize("n", sorted(PUBLISHED_CODES))
+    def test_recovers_published_tt38(self, n):
+        # Middles of 14 and 16 entries (n = 26, 28) are joined; the longer
+        # ones of n = 30..38 are walked.
+        quad = decode(PUBLISHED_CODES[n], n)
+        head_len = default_head_len(n)
+        seed = SeedQuad.from_quad(quad, head_len, head_len - 1)
         fills = list(fill_middle(seed, quad.c, quad.d))
         assert all(verify_tt(q) for q in fills)
         assert encode(quad, form="full") in {encode(q, form="full") for q in fills}
@@ -418,7 +441,9 @@ class TestJoin:
     @pytest.mark.parametrize(
         "n, code",
         [(10, code) for code in load_reference_codes("reference_n10.txt")]
-        + [(12, code) for code in load_reference_codes("reference_first12_n12.txt")],
+        + [(12, code) for code in load_reference_codes("reference_first12_n12.txt")]
+        # The longest middles the join serves: 14 and 16 entries.
+        + [(n, PUBLISHED_CODES[n]) for n in (26, 28)],
     )
     def test_join_equals_walk_on_reference_rows(self, n, code):
         quad = decode(code, n)
@@ -434,15 +459,15 @@ class TestJoin:
     def test_join_keeps_walk_order_over_every_pair_of_a_seed(self):
         # Results files and stop_after follow the emission order, so the
         # join must emit in the walk's order across all pairs of a seed.
-        targets = {(cfg.squares.c, cfg.squares.d): cfg for cfg in sweep_configs(10)}
-        seeds = list(generate_seeds(cfg10()))
+        cfg = cfg10()
+        seeds = list(generate_seeds(cfg))
         compared = 0
-        for (c_sum, d_sum), cfg in sorted(targets.items()):
-            pool_c = build_pool(10, "C", c_sum, cfg)
-            pool_d = build_pool(10, "D", d_sum, cfg)
+        for c_sum, d_sum in sorted({(sq.c, sq.d) for sq in SIGNED_SQUARES(10)}):
+            pool_c = search_module._lazy_pool(10, "C", (c_sum,), cfg)
+            pool_d = search_module._lazy_pool(10, "D", (d_sum,), cfg)
             for seed in seeds:
-                c_bucket = pool_c.buckets.get(seed.c_bucket_key())
-                d_bucket = pool_d.buckets.get(seed.d_bucket_key())
+                c_bucket = pool_c.bucket(seed.c_bucket_key())
+                d_bucket = pool_d.bucket(seed.d_bucket_key())
                 if c_bucket is None or d_bucket is None:
                     continue
                 c_rows = np.repeat(c_bucket.rows, d_bucket.rows.shape[0], axis=0)
@@ -491,12 +516,6 @@ class TestJoin:
 
 
 class TestPairScreen:
-    @staticmethod
-    def every_bucket(pool):
-        boundary = list(itertools.product((1, -1), repeat=pool.bucket_len))
-        keyed = ((key, pool.bucket(key)) for key in itertools.product(boundary, repeat=2))
-        return [bucket for _, bucket in keyed if bucket is not None]
-
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("n", [10, 12])
     def test_equals_per_row_loop_on_every_bucket_pair(self, n, block, monkeypatch):
@@ -506,15 +525,15 @@ class TestPairScreen:
         # Blocks of 7 pairs split bucket pairs and C rows at odd places.
         if block is not None:
             monkeypatch.setattr(search_module, "_PAIR_BLOCK", block)
-        cfg = sweep_configs(n)[0]
+        cfg = SearchConfig(n=n)
         limit = cfg.spectral_bound + search_module._SPECTRAL_TOL
-        targets = sorted({(c.squares.c, c.squares.d) for c in sweep_configs(n)})
+        targets = sorted({(sq.c, sq.d) for sq in SIGNED_SQUARES(n)})
         works = [search_module._SeedWork(cfg, targets, None)]
         works += [search_module._SeedWork(cfg, [target], None) for target in targets]
         compared = kept = 0
         for work in works:
-            for c_bucket in self.every_bucket(work.pool_c):
-                for d_bucket in self.every_bucket(work.pool_d):
+            for c_bucket in every_bucket(work.pool_c).values():
+                for d_bucket in every_bucket(work.pool_d).values():
                     ic, id_ = per_row_pairs(c_bucket, d_bucket, limit)
                     sums_c = c_bucket.rows.sum(axis=1)[ic] + n
                     sums_d = d_bucket.rows.sum(axis=1)[id_] + n
@@ -697,6 +716,20 @@ class TestSearch:
                 cfg10(squares=Decomposition(2, 2, 0, 5)), checkpoint_path=str(ck)
             )
 
+    def test_resume_refused_when_results_file_is_gone(self, tmp_path):
+        # The results file holds the hits found before the stop; resuming
+        # without it once finished with 2 of the 4 hits and marked done.
+        ck = tmp_path / "checkpoint.txt"
+        rs = tmp_path / "results.txt"
+        search(cfg10(), checkpoint_path=str(ck), results_path=str(rs), max_seeds_per_run=2)
+        before = ck.read_text()
+        assert len(search_module.read_listing(rs.read_text())) == 2
+        rs.unlink()
+        with pytest.raises(CheckpointError, match="missing"):
+            search(cfg10(), checkpoint_path=str(ck), results_path=str(rs))
+        assert ck.read_text() == before
+        assert not rs.exists()
+
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         ck = tmp_path / "checkpoint.txt"
         ck.write_text("config=abc\nseed_index=not_a_number\ndone=0\n")
@@ -779,12 +812,11 @@ class TestKillAndResume:
 
 class TestSweep:
     def test_config_sweep_covers_signed_variants(self):
-        configs = sweep_configs(38)
-        squares = {cfg.squares for cfg in configs}
+        squares = SIGNED_SQUARES(38)
         assert Decomposition(8, -4, 8, -3) in squares
-        assert all(cfg.n == 38 for cfg in configs)
+        assert all(SearchConfig(n=38, squares=sq).squares == sq for sq in squares)
         # Deterministic order.
-        assert [c.squares for c in sweep_configs(38)] == sorted(squares)
+        assert list(squares) == sorted(set(squares))
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_reproduces_enumeration(self, n, reference_codes):
@@ -805,6 +837,6 @@ class TestSweep:
         # The per-config searches pin A's and B's signed sums as well;
         # their union over the full signed sweep is the same class set.
         codes = set()
-        for cfg in sweep_configs(8):
-            codes.update(search(cfg).codes)
+        for squares in SIGNED_SQUARES(8):
+            codes.update(search(SearchConfig(n=8, squares=squares)).codes)
         assert sorted(codes) == list(sweep(8).codes)

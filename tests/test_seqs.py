@@ -21,9 +21,7 @@ from turynseq import (
     concat,
     half_combine,
     naf_all,
-    row_sum,
     spectrum_value,
-    transform,
 )
 from turynseq.seqs import naf_rows
 
@@ -147,20 +145,22 @@ class TestNaf:
 
 class TestTransforms:
     def test_frozen_examples(self):
-        assert transform(BinarySeq.from_pm("+-+"), "reverse") == BinarySeq.from_pm("+-+")
-        assert transform(BinarySeq.from_pm("++++"), "alternate") == BinarySeq.from_pm("+-+-")
-        assert transform(BinarySeq.from_pm("++-+"), "negate") == BinarySeq.from_pm("--+-")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            transform(BinarySeq.from_pm("++"), "rotate")
+        assert BinarySeq.from_pm("+-+").reverse() == BinarySeq.from_pm("+-+")
+        assert BinarySeq.from_pm("++++").alternate() == BinarySeq.from_pm("+-+-")
+        assert BinarySeq.from_pm("++-+").negate() == BinarySeq.from_pm("--+-")
+        # Oracles by index: -A, A' and A* entry by entry.
+        s = BinarySeq.from_pm("++-+--+")
+        m = len(s)
+        assert s.negate().entries == tuple(-s.entries[i] for i in range(m))
+        assert s.reverse().entries == tuple(s.entries[m - 1 - i] for i in range(m))
+        assert s.alternate().entries == tuple((-1) ** i * s.entries[i] for i in range(m))
 
     def test_involutions(self):
         rng = random.Random(4242)
         for _ in range(50):
             s = random_binary(rng, rng.randrange(1, 20))
-            for kind in ("negate", "reverse", "alternate"):
-                assert transform(transform(s, kind), kind) == s
+            for move in (BinarySeq.negate, BinarySeq.reverse, BinarySeq.alternate):
+                assert move(move(s)) == s
 
     def test_naf_invariance_under_negate_and_reverse(self):
         rng = random.Random(2024)
@@ -182,14 +182,14 @@ class TestTransforms:
 
 class TestRowSum:
     def test_frozen_examples(self):
-        assert row_sum(BinarySeq.from_pm("++")) == 2
-        assert row_sum(BinarySeq.from_pm("+-")) == 0
+        assert sum(BinarySeq.from_pm("++").entries) == 2
+        assert sum(BinarySeq.from_pm("+-").entries) == 0
 
     def test_parity(self):
         rng = random.Random(5)
         for _ in range(50):
             s = random_binary(rng, rng.randrange(1, 20))
-            assert row_sum(s) % 2 == len(s) % 2
+            assert sum(s.entries) % 2 == len(s) % 2
 
 
 class TestSpectrum:
@@ -197,7 +197,7 @@ class TestSpectrum:
         rng = random.Random(8)
         for _ in range(20):
             s = random_binary(rng, rng.randrange(1, 20))
-            assert spectrum_value(s, 0.0) == pytest.approx(row_sum(s) ** 2)
+            assert spectrum_value(s, 0.0) == pytest.approx(sum(s.entries) ** 2)
 
     def test_plus_plus_vanishes_at_pi(self):
         assert spectrum_value(BinarySeq.from_pm("++"), math.pi) == pytest.approx(0.0, abs=1e-12)
