@@ -34,9 +34,11 @@ seeds = list(generate_seeds(cfg))
 print("boundary seeds:", len(seeds))
 
 # Phase two ingredient: pools of full C and D rows with the target
-# signed sum whose spectra stay below (6n-2)/2 on a grid.  The identity
-# f_A + f_B + 2 f_C + 2 f_D = 6n-2 with f >= 0 makes that bound safe:
-# no row belonging to a valid quadruple is ever filtered out.  A pool is
+# signed sum that pass their own canonical sign clauses and whose
+# spectra stay below (6n-2)/2 on a grid.  The C and D of a canonical
+# quadruple always pass their clauses, and the identity
+# f_A + f_B + 2 f_C + 2 f_D = 6n-2 with f >= 0 makes the bound safe:
+# no row of a canonical quadruple is ever filtered out.  A pool is
 # bucketed by the boundary entries of its rows, and a search builds a
 # bucket, from its middle entries alone, when a seed first names it.
 c_keys = {seed.c_bucket_key() for seed in seeds}

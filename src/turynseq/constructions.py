@@ -73,7 +73,7 @@ def tt_to_base(quad: TurynQuad) -> BaseSequences:
 
 def verify_base(bs: BaseSequences) -> bool:
     """True iff N_P(s) + N_Q(s) + N_R(s) + N_S(s) = 0 for every s >= 1."""
-    return naf_vanishes((bs.p, bs.q, bs.r, bs.s), (1, 1, 1, 1))
+    return bool(naf_vanishes([[x.entries] for x in (bs.p, bs.q, bs.r, bs.s)], (1, 1, 1, 1))[0])
 
 
 def base_to_t(bs: BaseSequences) -> TSequences:
@@ -107,4 +107,4 @@ def verify_t(ts: TSequences) -> bool:
         nonzero = sum(1 for row in ts.rows if row.entries[i] != 0)
         if nonzero != 1:
             return False
-    return naf_vanishes(ts.rows, (1, 1, 1, 1))
+    return bool(naf_vanishes([[row.entries] for row in ts.rows], (1, 1, 1, 1))[0])

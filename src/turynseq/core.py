@@ -42,6 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .seqs import BinarySeq, naf_vanishes
 
 
@@ -88,7 +90,7 @@ class TurynQuad:
 
 def verify_tt(s: TurynQuad) -> bool:
     """True iff N_A + N_B + 2 N_C + 2 N_D vanishes at every positive lag."""
-    return naf_vanishes((s.a, s.b, s.c, s.d), (1, 1, 2, 2))
+    return bool(naf_vanishes([[x.entries] for x in (s.a, s.b, s.c, s.d)], (1, 1, 2, 2))[0])
 
 
 # --- the symmetry group -------------------------------------------------
@@ -272,6 +274,29 @@ def _d_clause(d: tuple[int, ...]) -> bool:
         if d[i - 1] * d[m - i] != eps:
             return d[i - 1] == 1
     return True
+
+
+def _clause_mask(rows: np.ndarray, kind: str) -> np.ndarray:
+    """Which rows of a (count, L) +-1 matrix pass their own sequence's clauses.
+
+    `kind` "A" or "B" tests clauses (i) and (ii)/(iii), "C" clauses (i)
+    and (iv), "D" clauses (i) and (v): row by row the mask equals
+    `_ab_clause`, `_c_clause` or `_d_clause`.  Each of (ii)-(v) looks at
+    the least index where a row meets a condition against its own
+    reversal and needs a +1 there; with no such index it is vacuous.
+    """
+    flipped = rows[:, ::-1]
+    if kind == "C":
+        decisive = rows == flipped
+    elif kind == "D":
+        decisive = rows * flipped != rows[:, -1:]
+    else:
+        decisive = rows != flipped
+    index = np.arange(len(rows)), decisive.argmax(axis=1)
+    keep = (rows[:, 0] == 1) & ((rows[index] == 1) | ~decisive[index])
+    if kind not in ("C", "D"):
+        keep &= rows[:, -1] == 1
+    return keep
 
 
 def is_canonical(s: TurynQuad) -> bool:

@@ -88,10 +88,10 @@ class ClassListing:
         )
 
 
-# Sweep wall times measured 2026-10-18 on a 2-core machine with
-# Python 3.11 and one BLAS thread: n = 16 took 3.2 s, n = 18 33 s and
-# n = 20 836 s.  The step grows with n, so the last one (25x) is used.
-_MEASURED_N, _MEASURED_S, _STEP_RATIO = 20, 836.0, 25.0
+# `enumerate --n N --jobs 1` wall times measured 2026-10-19 on a 2-core
+# machine with Python 3.11 and one BLAS thread: n = 18 took 31-35 s and
+# n = 20 991 s.  The step grows with n, so the last one (about 30x) is used.
+_MEASURED_N, _MEASURED_S, _STEP_RATIO = 20, 991.0, 30.0
 
 
 def _runtime_estimate(n: int) -> str:
@@ -107,7 +107,7 @@ def enumerate_canonical(n: int, jobs: int = 1, cap: int = 20) -> ClassListing:
     Runs the two-phase search over every row-sum target with `jobs`
     processes; n = 2 has no boundary seeds, so its one class comes from
     `brute_force_classes`.  Refuses n beyond `cap` (n = 20 takes about
-    14 minutes, and the sweep grows about 25x per length step there);
+    17 minutes, and the sweep grows about 30x per length step there);
     raise the cap explicitly to run longer jobs.
     """
     if n < 2 or n % 2:

@@ -8,17 +8,22 @@ every prefix-decidable canonical condition.
 
 Phase two pairs each seed with full candidate rows for C and D drawn
 from pools.  A pool holds the full-length rows, of each signed row sum
-in its set, whose spectrum
+in its set, that pass their own canonical clauses ((i) and (iv) for C,
+(i) and (v) for D) and whose spectrum
 
     f(theta) = N(0) + 2 sum_s N(s) cos(s theta)
 
 stays within `spectral_bound` on the grid theta = j*pi/grid_points,
-j = 1..grid_points; since every f is nonnegative and the four spectra
-of a valid quadruple sum pointwise to 6n - 2, no valid row is ever
-excluded by the bound (6n - 2)/2, nor any valid (C, D) pair by
-f_C + f_D <= bound.  Pools are bucketed by their boundary entries so a
-seed only meets candidates extending it exactly; a bucket is built, from
-its middle entries alone, when a seed first names its boundary.
+j = 1..grid_points.  No solution is lost: the C and D of every canonical
+quadruple pass those clauses, so a dropped row takes with it only
+completions `is_canonical` rejects; and since every f is nonnegative
+and the four spectra of a valid quadruple sum pointwise to 6n - 2, no
+valid row is ever excluded by the bound (6n - 2)/2, nor any valid
+(C, D) pair by f_C + f_D <= bound.  The clauses are tested first, so a
+dropped row costs no spectrum.  Pools are bucketed by their boundary
+entries so a seed only meets candidates extending it exactly; a bucket
+is built, from its middle entries alone, when a seed first names its
+boundary.
 
 The (C, D) pairs of a bucket pair are screened in fixed-size blocks:
 first by their sums, then on every 16th grid point, then on the full
@@ -37,13 +42,14 @@ For each seed, a table holds every full A row over the 2^m middles
 under a fixed linear projection, sorted by hash; B's table is built the
 same way.  For all spectrum-passing (C, D) pairs of the seed at once,
 hash(T) - hash(N_B) is looked up among A's hashes, and every match is
-confirmed by exact NAF equality and then by `verify_tt`.  No solution
-is lost: a table drops only rows failing that row's own canonical
-clause (every canonical quadruple passes it) or, in `search`, the
-target row sum (every hit kept there has it); the projection is linear,
-so each exact solution has matching hashes, and a hash collision fails
-the exact equality.  Every hit still passes `verify_tt` and
-`is_canonical`.
+confirmed by exact NAF equality.  All of a seed's hits are then checked
+together, by the identity `verify_tt` tests (weights 1, 1, 2, 2, D
+padded by a trailing zero), and a failure raises.  No solution is lost:
+a table drops only rows failing that row's own canonical clause (every
+canonical quadruple passes it) or, in `search`, the target row sum
+(every hit kept there has it); the projection is linear, so each exact
+solution has matching hashes, and a hash collision fails the exact
+equality.  Every hit still passes that check and `is_canonical`.
 
 Tables have 2^m rows, so the join serves m <= 16 (n <= 28 at the
 default head_len).  Longer middles (m = 24 at n = 38 with its 7-wide
@@ -76,7 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import encode, read_listing, write_listing
-from .core import TurynQuad, _ab_clause, is_canonical, verify_tt
+from .core import TurynQuad, _clause_mask, is_canonical, verify_tt
 from .engine import PairDfs, fill_plan, seed_plan
 from .enumeration import (
     ClassListing,
@@ -85,7 +91,7 @@ from .enumeration import (
     _pm_rows,
     decompositions,
 )
-from .seqs import BinarySeq, naf_rows, spectrum_rows
+from .seqs import BinarySeq, naf_rows, naf_vanishes, spectrum_rows
 
 _SPECTRAL_TOL = 1e-6
 _BATCH_SEEDS = 256
@@ -274,16 +280,18 @@ class PoolBucket:
 
 @dataclass(frozen=True)
 class SequencePool:
-    """Spectrum-passing rows of one kind and a set of signed row sums, by boundary.
+    """Clause- and spectrum-passing rows of one kind and a set of row sums, by boundary.
 
     C rows have length n and D rows n - 1; buckets are keyed by the
     (first, last) `bucket_len` entries, `head_len` for C and `d_head_len`
     for D.  `buckets` maps each boundary key built so far to its bucket,
     or to None when no row passes.  A bucket holds the rows of each of
-    `sums` extending its boundary, sum by sum in ascending order; within
-    a sum, rows come in the lexicographic order of their middle's -1
-    positions.  Each sum's part of a bucket may have at most `_CAP_ROWS`
-    candidate rows.
+    `sums` extending its boundary that pass their own canonical clauses
+    (`core._clause_mask`; a canonical quadruple's C and D always do) and
+    the spectral bound, sum by sum in ascending order; within a sum,
+    rows come in the lexicographic order of their middle's -1 positions.
+    Each sum's part of a bucket may have at most `_CAP_ROWS` candidate
+    rows, counted before either filter.
     """
 
     kind: str
@@ -331,6 +339,9 @@ class SequencePool:
                 rows = np.repeat(template[None], len(chunk), axis=0)
                 positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
                 rows[np.arange(len(chunk))[:, None], positions] = -1
+                rows = rows[_clause_mask(rows, self.kind)]
+                if not len(rows):
+                    continue
                 spectra = spectrum_rows(rows, self._cos_table)
                 mask = spectra.max(axis=1) <= self.cfg.spectral_bound + _SPECTRAL_TOL
                 kept.append((rows[mask], spectra[mask]))
@@ -437,8 +448,9 @@ def _row_table(tables: dict, boundary: tuple, head_len: int, row_sum: int | None
     """A (or B) rows over every middle, with NAFs, sorted by NAF hash.
 
     Keeps the full rows extending `boundary` that pass the row's own
-    canonical clause and, unless `row_sum` is None, have that sum.
-    Cached in `tables` per (boundary, row_sum).
+    canonical clauses (`core._clause_mask`, the mask the pools use) and,
+    unless `row_sum` is None, have that sum.  Cached in `tables` per
+    (boundary, row_sum).
     """
     key = (boundary, row_sum)
     if key not in tables:
@@ -447,7 +459,7 @@ def _row_table(tables: dict, boundary: tuple, head_len: int, row_sum: int | None
         rows[:, head_len : n - head_len] = _pm_rows(n - 2 * head_len)
         if row_sum is not None:
             rows = rows[rows.sum(axis=1) == row_sum]
-        rows = rows[np.array([_ab_clause(tuple(row)) for row in rows.tolist()], bool)]
+        rows = rows[_clause_mask(rows, "A")]
         nafs = naf_rows(rows)
         hashes = nafs @ _hash_weights(n - 1)
         order = np.argsort(hashes, kind="stable")
@@ -455,23 +467,17 @@ def _row_table(tables: dict, boundary: tuple, head_len: int, row_sum: int | None
     return tables[key]
 
 
-def _walk_order(quad: TurynQuad, head_len: int) -> tuple[int, ...]:
-    """Sort key of the order in which the walk emits completions."""
-    a, b, n = quad.a.entries, quad.b.entries, quad.n
-    return tuple(
-        -v for k in range(head_len, n // 2) for v in (a[k], a[n - 1 - k], b[k], b[n - 1 - k])
-    )
-
-
 def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
     """Verified completions of the A and B middles for each (C, D) pair.
 
     Middles of up to `_JOIN_MAX_MIDDLE` entries are joined: hash(N_A)
     must equal hash(T) - hash(N_B), since the projection is linear, and
-    each hash match is confirmed by exact NAF equality.  Longer middles
-    are walked.  Both paths yield in the walk's order (pair by pair),
-    so results and `stop_after` do not depend on the path.  `row_sums`,
-    unless None, keeps only completions with A's and B's target sums.
+    each hash match is confirmed by exact NAF equality; then one
+    `naf_vanishes` call checks all the hits with the weights of
+    `verify_tt`, and raises if any fails.  Longer middles are walked.
+    Both paths yield in the walk's order (pair by pair), so results and
+    `stop_after` do not depend on the path.  `row_sums`, unless None,
+    keeps only completions with A's and B's target sums.
     """
     h = seed.head_len
     if seed.n - 2 * h > _JOIN_MAX_MIDDLE:
@@ -487,7 +493,7 @@ def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
     rows_b, nafs_b, hash_b = _row_table(tables, seed.b, h, sum_b)
     if not (len(hash_a) and len(hash_b)):
         return
-    hits = []
+    found = []
     # Blocks of pairs keep the (pairs x B rows) lookups near a fixed size.
     step = max(1, _JOIN_BLOCK // len(hash_b))
     for start in range(0, len(pairs.target), step):
@@ -500,14 +506,23 @@ def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
         ip, ib = np.repeat(ip + start, counts), np.repeat(ib, counts)
         ia = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
-        for p, a, b in zip(ip[exact].tolist(), ia[exact].tolist(), ib[exact].tolist()):
-            rows = (rows_a[a], rows_b[b], pairs.c_rows[p], pairs.d_rows[p])
-            hits.append((p, TurynQuad(*(BinarySeq(row) for row in rows))))
-    hits.sort(key=lambda hit: (hit[0], _walk_order(hit[1], h)))
-    for _, quad in hits:
-        if not verify_tt(quad):
-            raise RuntimeError(f"NAF join emitted an invalid quadruple: {quad}")
-        yield quad
+        found.append((ip[exact], ia[exact], ib[exact]))
+    ip, ia, ib = map(np.concatenate, zip(*found))
+    if not len(ip):
+        return
+    a, b = rows_a[ia], rows_b[ib]
+    # The walk's order: pair by pair, then the middles of A and B from the
+    # outside in, +1 before -1 at each step (np.lexsort's last key leads).
+    k = np.arange(h, seed.n // 2)
+    steps = np.stack([a[:, k], a[:, -1 - k], b[:, k], b[:, -1 - k]], axis=2).reshape(len(ip), -1)
+    order = np.lexsort([*(-steps.T[::-1]), ip])
+    quads = [a[order], b[order], pairs.c_rows[ip[order]], pairs.d_rows[ip[order]]]
+    valid = naf_vanishes(quads, (1, 1, 2, 2))
+    if not valid.all():
+        bad = TurynQuad(*(BinarySeq(rows[np.argmin(valid)].tolist()) for rows in quads))
+        raise RuntimeError(f"NAF join emitted an invalid quadruple: {bad}")
+    for entries in zip(*(rows.tolist() for rows in quads)):
+        yield TurynQuad(*map(BinarySeq, entries))
 
 
 def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray, limit: float):

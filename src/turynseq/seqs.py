@@ -141,11 +141,20 @@ def naf_rows(rows: np.ndarray) -> np.ndarray:
     return np.einsum("cj,csj->cs", windows[:, 0], windows[:, 1:])
 
 
-def naf_vanishes(seqs, weights) -> bool:
-    """True iff sum_k weights[k] * N_{seqs[k]}(s) = 0 at every lag s >= 1."""
-    length = max(len(seq) for seq in seqs)
-    rows = np.array([seq.entries + (0,) * (length - len(seq)) for seq in seqs], np.int8)
-    return not np.any(np.asarray(weights) @ naf_rows(rows))
+def naf_vanishes(rows, weights) -> np.ndarray:
+    """Per member i of a batch: sum_k weights[k] * N_{rows[k][i]}(s) = 0 at every s >= 1?
+
+    `rows[k]` holds the k-th sequence of every member: a (count, L_k)
+    {0, -1, +1} matrix, or `count` entry tuples.  Shorter sequences are
+    padded with trailing zeros.  Returns a (count,) bool array.
+    """
+    length = max(len(seqs[0]) for seqs in rows)
+    count = len(rows[0])
+    padded = np.zeros((len(rows), count, length), np.int8)
+    for k, seqs in enumerate(rows):
+        padded[k, :, : len(seqs[0])] = seqs
+    nafs = naf_rows(padded.reshape(-1, length)).reshape(len(rows), -1)
+    return ~np.any((np.asarray(weights) @ nafs).reshape(count, length - 1), axis=1)
 
 
 def spectrum_rows(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:

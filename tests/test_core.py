@@ -5,8 +5,10 @@ checked by explicit closure computations; canonical-form facts are
 checked against decoded reference representatives.
 """
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +35,7 @@ from turynseq.core import (
     phi,
     verify_tt,
 )
-from turynseq.seqs import BinarySeq
+from turynseq.seqs import BinarySeq, naf_vanishes
 
 from conftest import (
     KNOWN_LARGE_CODES,
@@ -101,6 +103,10 @@ class TestVerify:
         assert len(flips) == 4 * n - 1  # every entry, D's last one included
         for r, k, rows in flips:
             assert not verify_tt(TurynQuad(*rows)), (r, k)
+        # One batched check, as the pair join makes it, agrees member by member.
+        batch = [(quad.a, quad.b, quad.c, quad.d)] + [rows for _, _, rows in flips]
+        columns = [np.array([members[j].entries for members in batch], np.int8) for j in range(4)]
+        assert naf_vanishes(columns, (1, 1, 2, 2)).tolist() == [True] + [False] * len(flips)
 
     def test_lag_identity_holds_entrywise(self):
         # Recompute the combined lag sums directly for the n=8 example.
@@ -269,6 +275,41 @@ class TestCanonicalForm:
         for n in (2, 4, 6, 8, 10):
             for code in load_reference_codes(f"reference_n{n}.txt"):
                 assert decode(code, n).c.entries[-1] == -1
+
+
+SCALAR_CLAUSES = {
+    "A": core._ab_clause,
+    "B": core._ab_clause,
+    "C": core._c_clause,
+    "D": core._d_clause,
+}
+
+
+def pm_rows(length: int):
+    """Lists of `length` entries of +-1, for hypothesis."""
+    return st.lists(st.sampled_from((1, -1)), min_size=length, max_size=length)
+
+
+class TestClauseMask:
+    """The vectorised clause mask of the pools and A/B tables, against the scalar clauses."""
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_equals_scalar_clauses_on_every_row(self, length):
+        rows = np.array(list(itertools.product((1, -1), repeat=length)), np.int8)
+        for kind, clause in SCALAR_CLAUSES.items():
+            expected = [clause(tuple(row)) for row in rows.tolist()]
+            assert core._clause_mask(rows, kind).tolist() == expected, kind
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        rows=st.integers(1, 38).flatmap(
+            lambda length: st.lists(pm_rows(length), min_size=1, max_size=16)
+        ),
+        kind=st.sampled_from("ABCD"),
+    )
+    def test_equals_scalar_clauses_on_random_rows(self, rows, kind):
+        expected = [SCALAR_CLAUSES[kind](tuple(row)) for row in rows]
+        assert core._clause_mask(np.array(rows, np.int8), kind).tolist() == expected
 
 
 class TestEquivalence:

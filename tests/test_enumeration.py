@@ -151,7 +151,7 @@ class TestEnumerate:
         assert len(enumerate_canonical(8, cap=8)) == REFERENCE_COUNTS[8]
 
     def test_cap_refusal_estimate_uses_measured_growth(self):
-        # About 25x per length step from the sweep's 836 s at n = 20 puts
+        # About 30x per length step from the sweep's 991 s at n = 20 puts
         # n = 22 at hours; the full walk's growth said two years.
         with pytest.raises(FeasibilityError, match=r"roughly [\d.]+ hours") as exc:
             enumerate_canonical(22)

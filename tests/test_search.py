@@ -25,7 +25,7 @@ from conftest import (
     seed_lag_sum,
 )
 from turynseq.codec import decode, encode
-from turynseq.core import TurynQuad, verify_tt
+from turynseq.core import TurynQuad, _c_clause, _d_clause, is_canonical, verify_tt
 from turynseq.enumeration import Decomposition, FeasibilityError, enumerate_canonical
 from turynseq.search import (
     CheckpointError,
@@ -65,6 +65,24 @@ def every_bucket(pool) -> dict:
 
 def pool_rows(pool) -> int:
     return sum(len(bucket.rows) for bucket in every_bucket(pool).values())
+
+
+def spectral_full_rows(length: int, h: int, row_sum: int, cfg: SearchConfig) -> dict:
+    """Every +-1 row of this length and sum within the spectral bound, by bucket key.
+
+    Rows come in the combinations order of their -1 positions, each with
+    its grid spectrum from an FFT; no canonical clause is applied.
+    """
+    g = cfg.grid_points
+    found: dict[tuple, list] = {}
+    for negs in itertools.combinations(range(length), (length - row_sum) // 2):
+        row = np.ones(length, np.int8)
+        row[list(negs)] = -1
+        spectrum = np.abs(np.fft.rfft(row, 2 * g)[1 : g + 1]) ** 2
+        if spectrum.max() <= cfg.spectral_bound + 1e-6:
+            key = (tuple(row[:h].tolist()), tuple(row[length - h :].tolist()))
+            found.setdefault(key, []).append((row, spectrum))
+    return found
 
 
 def checkpoint_fields(path) -> dict[str, str]:
@@ -233,11 +251,12 @@ class TestBuildPool:
         cfg = cfg10()
         pool = search_module._lazy_pool(10, "C", (0,), cfg)
         # Independent filter: every +-1 row of length 10 with zero sum
-        # whose spectrum stays within the bound on the whole grid.
+        # that passes C's own canonical clause and whose spectrum stays
+        # within the bound on the whole grid.
         thetas = [j * np.pi / cfg.grid_points for j in range(1, cfg.grid_points + 1)]
         expected = set()
         for bits in itertools.product((1, -1), repeat=10):
-            if sum(bits) != 0:
+            if sum(bits) != 0 or not _c_clause(bits):
                 continue
             seq = BinarySeq(bits)
             if all(spectrum_value(seq, t) <= cfg.spectral_bound + 1e-6 for t in thetas):
@@ -299,27 +318,24 @@ class TestBuildPool:
     @pytest.mark.parametrize("n", [10, 12])
     def test_lazy_buckets_equal_filtered_full_rows(self, n):
         # Expected buckets come from scanning every full row of the sum in
-        # combinations order, with spectra from an FFT on the same grid.
+        # combinations order, with spectra from an FFT on the same grid,
+        # and keeping those that pass the row's own canonical clause.
         # A pool over every sum then holds, per boundary, the one-sum
         # buckets concatenated in ascending order of sum.
         cfg = SearchConfig(n=n)  # pools depend on n and the widths only
-        limit = cfg.spectral_bound + 1e-6
-        g = cfg.grid_points
-        for kind, length, h in (("C", n, cfg.head_len), ("D", n - 1, cfg.d_head_len)):
+        for kind, length, h, clause in (
+            ("C", n, cfg.head_len, _c_clause),
+            ("D", n - 1, cfg.d_head_len, _d_clause),
+        ):
             boundary = list(itertools.product((1, -1), repeat=h))
             sums = range(-length, length + 1, 2)
             one_sum_pools = []
             for target_sum in sums:
-                expected: dict[tuple, list] = {}
-                negatives = (length - target_sum) // 2
-                for negs in itertools.combinations(range(length), negatives):
-                    row = np.ones(length)
-                    row[list(negs)] = -1
-                    spectrum = np.abs(np.fft.rfft(row, 2 * g)[1 : g + 1]) ** 2
-                    if spectrum.max() <= limit:
-                        ends = row[:h].astype(int), row[length - h :].astype(int)
-                        key = tuple(map(tuple, ends))
-                        expected.setdefault(key, []).append((row, spectrum))
+                expected = {}
+                for key, found in spectral_full_rows(length, h, target_sum, cfg).items():
+                    kept = [entry for entry in found if clause(tuple(entry[0].tolist()))]
+                    if kept:
+                        expected[key] = kept
                 pool = search_module._lazy_pool(n, kind, (target_sum,), cfg)
                 one_sum_pools.append(pool)
                 for key in itertools.product(boundary, repeat=2):
@@ -459,19 +475,23 @@ class TestJoin:
     def test_join_keeps_walk_order_over_every_pair_of_a_seed(self):
         # Results files and stop_after follow the emission order, so the
         # join must emit in the walk's order across all pairs of a seed.
+        # The C and D rows are every spectrum-passing full row of each
+        # bucket key, including those the pools drop by their clauses.
         cfg = cfg10()
         seeds = list(generate_seeds(cfg))
         compared = 0
         for c_sum, d_sum in sorted({(sq.c, sq.d) for sq in SIGNED_SQUARES(10)}):
-            pool_c = search_module._lazy_pool(10, "C", (c_sum,), cfg)
-            pool_d = search_module._lazy_pool(10, "D", (d_sum,), cfg)
+            c_full = spectral_full_rows(10, cfg.head_len, c_sum, cfg)
+            d_full = spectral_full_rows(9, cfg.d_head_len, d_sum, cfg)
             for seed in seeds:
-                c_bucket = pool_c.bucket(seed.c_bucket_key())
-                d_bucket = pool_d.bucket(seed.d_bucket_key())
-                if c_bucket is None or d_bucket is None:
+                c_found = c_full.get(seed.c_bucket_key())
+                d_found = d_full.get(seed.d_bucket_key())
+                if c_found is None or d_found is None:
                     continue
-                c_rows = np.repeat(c_bucket.rows, d_bucket.rows.shape[0], axis=0)
-                d_rows = np.tile(d_bucket.rows, (c_bucket.rows.shape[0], 1))
+                c_full_rows = np.array([row for row, _ in c_found])
+                d_full_rows = np.array([row for row, _ in d_found])
+                c_rows = np.repeat(c_full_rows, len(d_full_rows), axis=0)
+                d_rows = np.tile(d_full_rows, (len(c_full_rows), 1))
                 pairs = search_module._pair_block(c_rows, d_rows)
                 joined = list(search_module._completions(seed, pairs, {}, None))
                 walked = [
@@ -483,6 +503,32 @@ class TestJoin:
                 compared += len(walked)
         # 116 completions; 17 share their (C, D) pair with an earlier one.
         assert compared == 116
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_sweep_joins_only_canonical_quadruples(self, n, monkeypatch):
+        # Pools and A/B tables drop every row that fails its own clause,
+        # and the seeds settle clause (vi), so every completion the sweep
+        # joins is canonical: as many as the listing has classes.  Pools
+        # that kept those rows made 116 completions at n=10 and 191 at 12.
+        joined = []
+        real_completions = search_module._completions
+
+        def recording(*args):
+            for quad in real_completions(*args):
+                joined.append(quad)
+                yield quad
+
+        monkeypatch.setattr(search_module, "_completions", recording)
+        assert len(sweep(n)) == REFERENCE_COUNTS[n]
+        assert len(joined) == REFERENCE_COUNTS[n]
+        assert all(is_canonical(quad) for quad in joined)
+
+    def test_join_raises_when_the_batched_check_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            search_module, "naf_vanishes", lambda rows, weights: np.zeros(len(rows[0]), bool)
+        )
+        with pytest.raises(RuntimeError, match="NAF join emitted an invalid quadruple"):
+            sweep(10)
 
     def test_hash_collisions_are_settled_exactly(self, monkeypatch, reference_codes):
         # An all-zero projection makes every pair and row collide.
@@ -500,16 +546,18 @@ class TestJoin:
 
     def test_row_sum_targets_filter_before_verify(self, monkeypatch):
         # With (c, d) = (4, 3) the sums of A and B are fixed only up to
-        # sign: without the filter, 6 of the 10 completions found have
-        # other signed sums.
+        # sign: without the filter, 4 of the 7 completions found have
+        # other signed sums.  Every join hit goes through one batched
+        # check per seed, with the weights of `verify_tt`.
         checked = []
-        real_verify_tt = search_module.verify_tt
+        real_naf_vanishes = search_module.naf_vanishes
 
-        def checking(quad):
-            checked.append(quad.row_sums()[:2])
-            return real_verify_tt(quad)
+        def checking(rows, weights):
+            assert tuple(weights) == (1, 1, 2, 2)
+            checked.extend(zip(rows[0].sum(axis=1).tolist(), rows[1].sum(axis=1).tolist()))
+            return real_naf_vanishes(rows, weights)
 
-        monkeypatch.setattr(search_module, "verify_tt", checking)
+        monkeypatch.setattr(search_module, "naf_vanishes", checking)
         assert search(cfg10(squares=Decomposition(2, 2, 4, 3)))
         assert checked
         assert set(checked) == {(2, 2)}
