@@ -2,11 +2,13 @@
 The two-phase search for large n
 ================================
 
-Exhaustive enumeration stops being feasible past n=16 or so.  The
-scalable alternative fixes the outer entries of all four sequences
-first (phase one), then joins precomputed candidate pools for the full
-C and D rows and fills in the remaining A and B middles (phase two).
-Demonstrated here at n=10, where the answer is known to be 43 classes.
+Every class listing, `enumerate_canonical` included, runs this search
+over all row-sum targets, and its cost grows steeply with n; a single
+target, or a single seed, reaches much larger n.  The search fixes the
+outer entries of all four sequences first (phase one), then joins
+candidate pools for the full C and D rows and fills in the remaining A
+and B middles (phase two).  Demonstrated here at n=10, where the answer
+is known to be 43 classes.
 """
 
 from turynseq import (
@@ -27,7 +29,7 @@ cfg = SearchConfig(n=10, squares=(0, 0, 2, 5))
 print("config:", cfg.describe())
 
 # Phase one: boundary seeds.  Outer entries of A, B, C (head_len each
-# side) and D (d_head_len) are chosen so that every lag they fully
+# side) and D (head_len - 1) are chosen so that every lag they fully
 # determine already sums to zero, and so that no non-canonical branch
 # survives.
 seeds = list(generate_seeds(cfg))
@@ -35,8 +37,8 @@ print("boundary seeds:", len(seeds))
 
 # Phase two ingredient: pools of full C and D rows with the target
 # signed sum that pass their own canonical sign clauses and whose
-# spectra stay below (6n-2)/2 on a grid.  The C and D of a canonical
-# quadruple always pass their clauses, and the identity
+# spectra stay below (6n-2)/2 on a fixed 600-point grid.  The C and D
+# of a canonical quadruple always pass their clauses, and the identity
 # f_A + f_B + 2 f_C + 2 f_D = 6n-2 with f >= 0 makes the bound safe:
 # no row of a canonical quadruple is ever filtered out.  A pool is
 # bucketed by the boundary entries of its rows, and a search builds a
@@ -61,7 +63,7 @@ for code in hits.codes:
 # pass their own canonical clauses, every canonical completion among
 # them.
 quad = decode(hits.codes[0], 10)
-seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
+seed = SeedQuad.from_quad(quad, cfg.head_len)
 completions = list(fill_middle(seed, quad.c, quad.d))
 print("\ncompletions of the first hit's own seed and rows:", len(completions))
 
@@ -81,7 +83,7 @@ print("\nsweep reproduces the enumerated listing:", len(swept), "classes")
 code38 = "05128f55401f041adf7f65c53567822c9cb9c"
 cfg38 = SearchConfig(n=38, squares=(8, -4, 8, -3))
 known = decode(code38, 38)
-seed38 = SeedQuad.from_quad(known, cfg38.head_len, cfg38.d_head_len)
+seed38 = SeedQuad.from_quad(known, cfg38.head_len)
 refound = list(fill_middle(seed38, known.c, known.d))
 print("\nn=38 fill-in from the known boundary:", len(refound), "completion")
 assert [encode(q, form="compact") for q in refound] == [code38]

@@ -125,9 +125,6 @@ def cmd_enumerate(args) -> int:
 _CONFIG_KEYS = {
     "n": int,
     "head_len": int,
-    "d_head_len": int,
-    "grid_points": int,
-    "spectral_bound": float,
     "stop_after": int,
     "squares": None,
 }

@@ -51,12 +51,12 @@ def full_plan(n: int) -> list[tuple[int, int]]:
     return [(seq, k) for k in range(1, n // 2 + 1) for seq in range(4)]
 
 
-def seed_plan(n: int, head_len: int, d_head_len: int) -> list[tuple[int, int]]:
-    """Boundary-only items: steps 1..head_len for A, B, C; 1..d_head_len for D."""
+def seed_plan(head_len: int) -> list[tuple[int, int]]:
+    """Boundary-only items: steps 1..head_len for A, B, C; 1..head_len-1 for D."""
     plan = []
     for k in range(1, head_len + 1):
         plan.extend((seq, k) for seq in range(3))
-        if k <= d_head_len:
+        if k < head_len:
             plan.append((3, k))
     return plan
 

@@ -1,10 +1,12 @@
 """Two-phase search for large lengths.
 
 Phase one enumerates boundary seeds: the first and last `head_len`
-entries of A, B, C and the first and last `d_head_len` entries of D,
+entries of A, B, C and the first and last head_len - 1 entries of D,
 exactly the assignments that satisfy every boundary-determined lag
 constraint (the combined lag sum vanishes for s >= n - head_len) and
-every prefix-decidable canonical condition.
+every prefix-decidable canonical condition.  D's width is derived, not
+chosen: head_len - 1 is the narrowest D boundary that settles every lag
+s >= n - head_len, and a wider one settles no further lag.
 
 Phase two pairs each seed with full candidate rows for C and D drawn
 from pools.  A pool holds the full-length rows, of each signed row sum
@@ -13,17 +15,18 @@ in its set, that pass their own canonical clauses ((i) and (iv) for C,
 
     f(theta) = N(0) + 2 sum_s N(s) cos(s theta)
 
-stays within `spectral_bound` on the grid theta = j*pi/grid_points,
-j = 1..grid_points.  No solution is lost: the C and D of every canonical
-quadruple pass those clauses, so a dropped row takes with it only
-completions `is_canonical` rejects; and since every f is nonnegative
-and the four spectra of a valid quadruple sum pointwise to 6n - 2, no
-valid row is ever excluded by the bound (6n - 2)/2, nor any valid
-(C, D) pair by f_C + f_D <= bound.  The clauses are tested first, so a
-dropped row costs no spectrum.  Pools are bucketed by their boundary
-entries so a seed only meets candidates extending it exactly; a bucket
-is built, from its middle entries alone, when a seed first names its
-boundary.
+stays within the bound (6n - 2)/2 on the fixed grid theta = j*pi/600,
+j = 1..600 (`_GRID_POINTS`).  No solution is lost: the C and D of every
+canonical quadruple pass those clauses, so a dropped row takes with it
+only completions `is_canonical` rejects; and since every f is
+nonnegative and the four spectra of a valid quadruple sum pointwise to
+6n - 2, no valid row is ever excluded by the bound (6n - 2)/2, nor any
+valid (C, D) pair by f_C + f_D <= (6n - 2)/2.  The bound is derived
+from n, not chosen: a lower one loses solutions and a higher one only
+costs time.  The clauses are tested first, so a dropped row costs no
+spectrum.  Pools are bucketed by their boundary entries so a seed only
+meets candidates extending it exactly; a bucket is built, from its
+middle entries alone, when a seed first names its boundary.
 
 The (C, D) pairs of a bucket pair are screened in fixed-size blocks:
 first by their sums, then on every 16th grid point, then on the full
@@ -94,6 +97,8 @@ from .enumeration import (
 from .seqs import BinarySeq, naf_rows, naf_vanishes, spectrum_rows
 
 _SPECTRAL_TOL = 1e-6
+# Pool spectra are sampled at theta = j*pi/_GRID_POINTS, j = 1.._GRID_POINTS.
+_GRID_POINTS = 600
 _BATCH_SEEDS = 256
 _CAP_ROWS = 5_000_000
 # Middles of up to this many entries are completed by the NAF join; its
@@ -118,21 +123,21 @@ def default_head_len(n: int) -> int:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Targets and pruning parameters for one search run.
+    """The inputs of one search run; every pruning parameter derives from them.
 
     `squares` carries the signed row-sum targets (a, b, c, d): pools are
     keyed by the signed sums c and d, and completed quadruples are kept
     only when A and B hit the signed sums a and b.  It must be a signed
     decomposition of 6n - 2 (see `decompositions`).  None, the default,
     means every signed target: the run lists every class at length n.
+    `head_len` is the boundary width of A, B and C (default
+    `default_head_len(n)`); D's width `d_head_len` is head_len - 1 and
+    the pool bound `spectral_bound` is (6n - 2)/2, both read-only.
     """
 
     n: int
     squares: Decomposition | None = None
     head_len: int | None = None
-    d_head_len: int | None = None
-    grid_points: int = 600
-    spectral_bound: float | None = None
     stop_after: int | None = None
 
     def __post_init__(self):
@@ -149,31 +154,24 @@ class SearchConfig:
             object.__setattr__(self, "squares", squares)
         if self.head_len is None:
             object.__setattr__(self, "head_len", default_head_len(self.n))
-        if self.d_head_len is None:
-            object.__setattr__(self, "d_head_len", max(0, self.head_len - 1))
         if not 1 <= self.head_len < self.n / 2:
             raise ValueError(f"head_len must be in [1, n/2), got {self.head_len}")
-        if not 0 <= self.d_head_len <= self.head_len:
-            raise ValueError(
-                f"d_head_len must be in [0, head_len], got {self.d_head_len}"
-            )
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be >= 1")
-        if self.spectral_bound is None:
-            object.__setattr__(self, "spectral_bound", (6 * self.n - 2) / 2)
-        if not 0 < self.spectral_bound <= 6 * self.n - 2:
-            raise ValueError(
-                f"spectral_bound must be in (0, 6n-2], got {self.spectral_bound}"
-            )
         if self.stop_after is not None and self.stop_after < 1:
             raise ValueError("stop_after must be >= 1 or None")
+
+    @property
+    def d_head_len(self) -> int:
+        return self.head_len - 1
+
+    @property
+    def spectral_bound(self) -> float:
+        return (6 * self.n - 2) / 2
 
     def describe(self) -> str:
         squares = "all" if self.squares is None else ",".join(map(str, self.squares))
         return (
             f"n={self.n};squares={squares};head={self.head_len};"
-            f"d_head={self.d_head_len};grid={self.grid_points};"
-            f"bound={float(self.spectral_bound)!r}"
+            f"d_head={self.d_head_len};grid={_GRID_POINTS};bound={self.spectral_bound!r}"
         )
 
     def run_hash(self) -> str:
@@ -187,7 +185,7 @@ class SeedQuad:
     """Boundary-determined part of a quadruple; 0 marks undetermined entries.
 
     Rows a, b, c carry their first and last `head_len` entries, d its
-    first and last `d_head_len` entries.
+    first and last `d_head_len` = head_len - 1 entries.
     """
 
     a: tuple[int, ...]
@@ -195,7 +193,6 @@ class SeedQuad:
     c: tuple[int, ...]
     d: tuple[int, ...]
     head_len: int
-    d_head_len: int
 
     def __post_init__(self):
         n = len(self.a)
@@ -203,8 +200,8 @@ class SeedQuad:
             raise ValueError(f"seed length must be even and >= 4, got {n}")
         if (len(self.b), len(self.c), len(self.d)) != (n, n, n - 1):
             raise ValueError("seed rows must have lengths (n, n, n, n-1)")
-        if not 1 <= self.head_len < n / 2 or not 0 <= self.d_head_len <= self.head_len:
-            raise ValueError("bad seed head lengths")
+        if not 1 <= self.head_len < n / 2:
+            raise ValueError(f"seed head_len must be in [1, n/2), got {self.head_len}")
         for row, h, length in (
             (self.a, self.head_len, n),
             (self.b, self.head_len, n),
@@ -222,8 +219,12 @@ class SeedQuad:
     def n(self) -> int:
         return len(self.a)
 
+    @property
+    def d_head_len(self) -> int:
+        return self.head_len - 1
+
     @classmethod
-    def from_quad(cls, quad: TurynQuad, head_len: int, d_head_len: int) -> "SeedQuad":
+    def from_quad(cls, quad: TurynQuad, head_len: int) -> "SeedQuad":
         def mask(entries, h):
             length = len(entries)
             return tuple(
@@ -234,9 +235,8 @@ class SeedQuad:
             mask(quad.a.entries, head_len),
             mask(quad.b.entries, head_len),
             mask(quad.c.entries, head_len),
-            mask(quad.d.entries, d_head_len),
+            mask(quad.d.entries, head_len - 1),
             head_len,
-            d_head_len,
         )
 
     def c_bucket_key(self):
@@ -248,34 +248,31 @@ class SeedQuad:
         return (self.d[:h], self.d[len(self.d) - h :] if h else ())
 
     def fill_flags(self) -> tuple[int, int, int, int, int]:
-        """Canonical scan state after the boundary steps, for middle fill-in."""
+        """A's and B's canonical scan state after the boundary, for middle fill-in.
+
+        The fill plan has only A and B steps, which never read the C and D
+        slots of the flags, so those stay 0.
+        """
         n = self.n
         sym_a = int(all(self.a[i] == self.a[n - 1 - i] for i in range(self.head_len)))
         sym_b = int(all(self.b[i] == self.b[n - 1 - i] for i in range(self.head_len)))
-        asym_c = int(all(self.c[i] == -self.c[n - 1 - i] for i in range(self.head_len)))
-        if self.d_head_len == 0:
-            return (sym_a, sym_b, asym_c, 1, 0)
-        eps = self.d[n - 2]
-        d_open = int(
-            all(self.d[i] * self.d[n - 2 - i] == eps for i in range(self.d_head_len))
-        )
-        return (sym_a, sym_b, asym_c, d_open, eps)
+        return (sym_a, sym_b, 0, 0, 0)
 
 
 def generate_seeds(cfg: SearchConfig):
     """Stream every boundary seed exactly once, in a fixed deterministic order."""
-    eng = PairDfs(cfg.n, seed_plan(cfg.n, cfg.head_len, cfg.d_head_len))
+    eng = PairDfs(cfg.n, seed_plan(cfg.head_len))
     for _ in eng.walk():
         a, b, c, d = eng.snapshot()
-        yield SeedQuad(a, b, c, d, cfg.head_len, cfg.d_head_len)
+        yield SeedQuad(a, b, c, d, cfg.head_len)
 
 
 @dataclass(frozen=True)
 class PoolBucket:
-    """Candidate rows sharing one boundary pattern, with their grid spectra."""
+    """Candidate rows sharing one boundary pattern, with their spectra on the fixed grid."""
 
     rows: np.ndarray  # (count, length) of +-1, int8
-    spectra: np.ndarray  # (count, grid_points) of f(theta_j), float64
+    spectra: np.ndarray  # (count, _GRID_POINTS) of f(theta_j), float64
 
 
 @dataclass(frozen=True)
@@ -288,8 +285,9 @@ class SequencePool:
     or to None when no row passes.  A bucket holds the rows of each of
     `sums` extending its boundary that pass their own canonical clauses
     (`core._clause_mask`; a canonical quadruple's C and D always do) and
-    the spectral bound, sum by sum in ascending order; within a sum,
-    rows come in the lexicographic order of their middle's -1 positions.
+    the spectral bound (6n - 2)/2 on the fixed grid, sum by sum in
+    ascending order; within a sum, rows come in the lexicographic order
+    of their middle's -1 positions.
     Each sum's part of a bucket may have at most `_CAP_ROWS` candidate
     rows, counted before either filter.
     """
@@ -304,7 +302,7 @@ class SequencePool:
     @functools.cached_property
     def _cos_table(self) -> np.ndarray:
         lags = np.arange(self.length)
-        grid = np.arange(1, self.cfg.grid_points + 1) * (np.pi / self.cfg.grid_points)
+        grid = np.arange(1, _GRID_POINTS + 1) * (np.pi / _GRID_POINTS)
         return np.cos(lags[:, None] * grid[None, :])
 
     def bucket(self, key) -> PoolBucket | None:
@@ -359,8 +357,9 @@ def _negatives(length: int, row_sum: int, cfg: SearchConfig) -> int | None:
     return negatives
 
 
-def _lazy_pool(n, kind, sums, cfg) -> SequencePool:
+def _lazy_pool(kind, sums, cfg) -> SequencePool:
     """A pool of the given row sums holding no rows yet; buckets are built on request."""
+    n = cfg.n
     length, bucket_len = (n, cfg.head_len) if kind == "C" else (n - 1, cfg.d_head_len)
     return SequencePool(kind, length, tuple(sorted(set(sums))), bucket_len, {}, cfg)
 
@@ -384,7 +383,7 @@ def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
     Every completion has A and B rows that pass their own canonical
     clauses, so every canonical completion is among them.  C and D must
     extend the seed's boundary entries; the caller is expected to have
-    applied the pair bound f_C + f_D <= spectral_bound.
+    applied the pair bound f_C + f_D <= (6n - 2)/2.
     """
     _check_fill_args(seed, c.entries, d.entries)
     pairs = _pair_block(np.array([c.entries], np.int8), np.array([d.entries], np.int8))
@@ -562,26 +561,28 @@ def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray
 class _SeedWork:
     """One process's state for the hits of (group, seed) work items.
 
-    The C pool covers the c sums and the D pool the d sums of the live
-    (c, d) targets, those whose rows can pass at all (right parity and
-    magnitude, f(0) = sum^2 within the bound); a pair of bucket rows is
-    joined only when its own (c, d) is one of them.  Buckets and A/B
-    tables are built on demand and kept for the run; the (C, D) pair
-    cache is dropped whenever the group changes.  `row_sums`, unless
-    None, keeps only completions with those A and B sums.
+    The (c, d) targets are those of `cfg.squares`, or of every signed
+    target when it is None.  The C pool covers the c sums and the D pool
+    the d sums of the live targets, those whose rows can pass at all
+    (right parity and magnitude, f(0) = sum^2 within the bound); a pair
+    of bucket rows is joined only when its own (c, d) is one of them.
+    Buckets and A/B tables are built on demand and kept for the run; the
+    (C, D) pair cache is dropped whenever the group changes.  With
+    `cfg.squares`, only completions with its A and B sums are kept.
     """
 
-    def __init__(self, cfg: SearchConfig, targets, row_sums):
+    def __init__(self, cfg: SearchConfig):
         n = cfg.n
-        live = [
-            (c, d)
-            for c, d in targets
-            if _negatives(n, c, cfg) is not None and _negatives(n - 1, d, cfg) is not None
-        ]
+        targets = [cfg.squares] if cfg.squares is not None else _signed_squares(n)
+        live = {
+            (t.c, t.d)
+            for t in targets
+            if _negatives(n, t.c, cfg) is not None and _negatives(n - 1, t.d, cfg) is not None
+        }
         self.limit = cfg.spectral_bound + _SPECTRAL_TOL
-        self.row_sums = row_sums
-        self.pool_c = _lazy_pool(n, "C", {c for c, _ in live}, cfg)
-        self.pool_d = _lazy_pool(n, "D", {d for _, d in live}, cfg)
+        self.row_sums = None if cfg.squares is None else cfg.squares[:2]
+        self.pool_c = _lazy_pool("C", {c for c, _ in live}, cfg)
+        self.pool_d = _lazy_pool("D", {d for _, d in live}, cfg)
         self.live = np.zeros((2 * n + 1, 2 * n + 1), bool)
         for c, d in live:
             self.live[c + n, d + n] = True
@@ -618,28 +619,27 @@ class _SeedWork:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(work_args):
-    _WORKER_STATE["work"] = _SeedWork(*work_args)
+def _init_worker(cfg):
+    _WORKER_STATE["work"] = _SeedWork(cfg)
 
 
 def _worker_hits(item):
     return _WORKER_STATE["work"].hits(item)
 
 
-def _hit_stream(items, work_args, jobs, chunksize):
+def _hit_stream(items, cfg, jobs, chunksize):
     """Yield the hit list of each (group, seed) item, in item order.
 
-    `work_args` are the arguments of `_SeedWork`.  With `jobs == 1` an
-    item is pulled only when its hits are wanted; otherwise one pool of
-    worker processes, each with its own `_SeedWork`, takes items in
-    chunks of `chunksize`.
+    With `jobs == 1` an item is pulled only when its hits are wanted;
+    otherwise one pool of worker processes, each with its own
+    `_SeedWork(cfg)`, takes items in chunks of `chunksize`.
     """
     if jobs == 1:
-        yield from map(_SeedWork(*work_args).hits, items)
+        yield from map(_SeedWork(cfg).hits, items)
         return
     from multiprocessing import Pool  # only parallel runs need it
 
-    with Pool(jobs, initializer=_init_worker, initargs=(work_args,)) as pool:
+    with Pool(jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
         yield from pool.imap(_worker_hits, items, chunksize=chunksize)
 
 
@@ -677,24 +677,21 @@ def _read_checkpoint(path, cfg) -> tuple[int, bool]:
 
 
 def _work_items(cfg: SearchConfig, jobs: int):
-    """A run's (group, seed) items in checkpoint order, its `_SeedWork` args and chunk size.
+    """A run's (group, seed) items in checkpoint order, and their chunk size.
 
     One target streams its seeds lazily in generation order, all in one
     group.  Every target sorts the seeds by their (C, D) bucket keys, so
     each bucket pair is screened once; its key is the group of its items.
     """
     if cfg.squares is not None:
-        a, b, c, d = cfg.squares
-        items = ((0, seed) for seed in generate_seeds(cfg))
-        return items, (cfg, [(c, d)], (a, b)), _BATCH_SEEDS
-    targets = {(squares.c, squares.d) for squares in _signed_squares(cfg.n)}
+        return ((0, seed) for seed in generate_seeds(cfg)), _BATCH_SEEDS
     seeds = list(generate_seeds(cfg))
     groups = [(seed.c_bucket_key(), seed.d_bucket_key()) for seed in seeds]
     items = sorted(zip(groups, seeds), key=lambda item: item[0])
     # About four chunks per worker: whole bucket groups rarely split, and
     # no worker waits long for the last chunk.
     chunksize = max(1, -(-len(items) // (4 * jobs)))
-    return items, (cfg, targets, None), chunksize
+    return items, chunksize
 
 
 def search(
@@ -742,7 +739,7 @@ def search(
     if results_path and not resuming:
         Path(results_path).write_text(write_listing([], header=f"search {cfg.describe()}"))
 
-    items, work_args, chunksize = _work_items(cfg, jobs)
+    items, chunksize = _work_items(cfg, jobs)
     stop = None if max_seeds_per_run is None else start + max_seeds_per_run
     items = itertools.islice(items, start, stop)
     processed = start
@@ -759,7 +756,7 @@ def search(
             _write_checkpoint(checkpoint_path, cfg, processed, done)
 
     stopped = False
-    for hits in _hit_stream(items, work_args, jobs, chunksize):
+    for hits in _hit_stream(items, cfg, jobs, chunksize):
         processed += 1
         for code in hits:
             if code not in found and not stopped:

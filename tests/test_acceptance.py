@@ -186,9 +186,7 @@ class TestAcceptance:
     @long_only
     def test_11_seed_count_reproduction(self):
         with criterion(11, "n=38 boundary seed count 23,472,940"):
-            cfg = SearchConfig(
-                n=38, squares=(8, -4, 8, -3), head_len=7, d_head_len=6
-            )
+            cfg = SearchConfig(n=38, squares=(8, -4, 8, -3), head_len=7)
             count = sum(1 for _ in generate_seeds(cfg))
             assert count == 23_472_940
 
@@ -198,9 +196,7 @@ class TestAcceptance:
         if LONG:
             pytest.skip("covered by the full count in long mode")
         with criterion(11, "n=38 seed stream starts (count gated long)"):
-            cfg = SearchConfig(
-                n=38, squares=(8, -4, 8, -3), head_len=7, d_head_len=6
-            )
+            cfg = SearchConfig(n=38, squares=(8, -4, 8, -3), head_len=7)
             sample = list(itertools.islice(generate_seeds(cfg), 100))
             assert len(sample) == 100
             for seed in sample:

@@ -219,6 +219,12 @@ class TestSearch:
         rc, _, err = run_cli(["search", str(cfg)], capsys)
         assert rc == 2
         assert "must set n" in err
+        # The D width, grid and spectral bound are derived, not configured.
+        for line in ("spectral_bound = 20", "grid_points = 50", "d_head_len = 0"):
+            cfg.write_text(f"n = 12\n{line}\n")
+            rc, _, err = run_cli(["search", str(cfg)], capsys)
+            assert rc == 2
+            assert f"unknown key '{line.split()[0]}'" in err
 
 
 class TestConstruct:

@@ -1,5 +1,6 @@
 """Tests for the two-phase search: seeds, pools, fill-in, orchestration."""
 
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -73,7 +74,7 @@ def spectral_full_rows(length: int, h: int, row_sum: int, cfg: SearchConfig) -> 
     Rows come in the combinations order of their -1 positions, each with
     its grid spectrum from an FFT; no canonical clause is applied.
     """
-    g = cfg.grid_points
+    g = search_module._GRID_POINTS
     found: dict[tuple, list] = {}
     for negs in itertools.combinations(range(length), (length - row_sum) // 2):
         row = np.ones(length, np.int8)
@@ -106,8 +107,15 @@ class TestSearchConfig:
         cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
         assert cfg.head_len == 7
         assert cfg.d_head_len == 6
-        assert cfg.grid_points == 600
         assert cfg.spectral_bound == 113.0
+        assert search_module._GRID_POINTS == 600
+        # The widths, grid and bound are derived, not settable.
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n",
+            "squares",
+            "head_len",
+            "stop_after",
+        ]
 
     def test_default_head_len_clamps(self):
         assert default_head_len(4) == 1
@@ -123,24 +131,21 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             cfg10(head_len=5)  # head_len must stay below n/2
         with pytest.raises(ValueError):
-            cfg10(head_len=2, d_head_len=3)
-        with pytest.raises(ValueError):
-            cfg10(grid_points=0)
-        with pytest.raises(ValueError):
-            cfg10(spectral_bound=100.0)  # above 6n-2
-        with pytest.raises(ValueError):
             cfg10(stop_after=0)
 
     def test_run_hash_separates_configs(self):
         base = cfg10()
         assert base.run_hash() == cfg10().run_hash()
         assert base.run_hash() != cfg10(squares=Decomposition(2, 2, 0, 5)).run_hash()
-        assert base.run_hash() != cfg10(grid_points=500).run_hash()
+        assert base.run_hash() != cfg10(head_len=3).run_hash()
 
     def test_run_hash_is_stable(self):
         # Existing checkpoints carry this hash and must still resume.
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
         assert cfg.run_hash() == "dc4ae9817529cceb"
+        cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
+        assert cfg.run_hash() == "afae115d97c7b568"
+        assert SearchConfig(n=12).run_hash() == "a7c90e1dd985ae94"
 
     def test_no_squares_means_every_target(self):
         cfg = SearchConfig(n=10)
@@ -163,7 +168,7 @@ class TestSearchConfig:
 
 class TestSeedQuad:
     def test_from_quad_masks_middles(self):
-        seed = SeedQuad.from_quad(tt38_quad(), 7, 6)
+        seed = SeedQuad.from_quad(tt38_quad(), 7)
         assert seed.n == 38
         assert seed.a[:7] == tuple(tt38_quad().a.entries[:7])
         assert seed.a[7:31] == (0,) * 24
@@ -174,19 +179,19 @@ class TestSeedQuad:
         )
 
     def test_validation_rejects_bad_rows(self):
-        good = SeedQuad.from_quad(tt38_quad(), 7, 6)
+        good = SeedQuad.from_quad(tt38_quad(), 7)
         with pytest.raises(ValueError):
-            SeedQuad(good.a, good.b, good.c, good.d[:10], 7, 6)
+            SeedQuad(good.a, good.b, good.c, good.d[:10], 7)
         with pytest.raises(ValueError):
-            SeedQuad(good.a[:10] + (0,) * 28, good.b, good.c, good.d, 7, 6)
+            SeedQuad(good.a[:10] + (0,) * 28, good.b, good.c, good.d, 7)
         bad_mid = good.a[:19] + (1,) + good.a[20:]
         with pytest.raises(ValueError):
-            SeedQuad(bad_mid, good.b, good.c, good.d, 7, 6)
+            SeedQuad(bad_mid, good.b, good.c, good.d, 7)
 
     def test_boundary_lag_sums_vanish(self):
         # Lags s >= n - head_len are fully boundary-determined, so the
         # defining sum must already be zero there.
-        cfg = cfg10(head_len=2, d_head_len=1)
+        cfg = cfg10(head_len=2)
         for seed in itertools.islice(generate_seeds(cfg), 25):
             for s in range(seed.n - seed.head_len, seed.n):
                 assert seed_lag_sum(seed, s) == 0
@@ -195,7 +200,7 @@ class TestSeedQuad:
 class TestGenerateSeeds:
     def test_count_matches_exhaustive_boundary_filter_n10(self):
         # Independent oracle: scan all 2^14 boundary assignments for
-        # head_len=2, d_head_len=1 and keep those satisfying the two
+        # head_len=2 (D's width 1) and keep those satisfying the two
         # boundary-complete lag constraints plus every prefix-decidable
         # canonical condition.
         survivors = 0
@@ -219,7 +224,7 @@ class TestGenerateSeeds:
             if a0 * a8 + a1 * a9 + b0 * b8 + b1 * b9 + 2 * (c0 * c8 + c1 * c9) + 2 * d0 * d8 != 0:
                 continue
             survivors += 1
-        cfg = cfg10(head_len=2, d_head_len=1)
+        cfg = cfg10(head_len=2)
         seeds = list(generate_seeds(cfg))
         assert len(seeds) == survivors
 
@@ -249,11 +254,12 @@ class TestBuildPool:
 
     def test_matches_brute_filter_n10(self):
         cfg = cfg10()
-        pool = search_module._lazy_pool(10, "C", (0,), cfg)
+        pool = search_module._lazy_pool("C", (0,), cfg)
         # Independent filter: every +-1 row of length 10 with zero sum
         # that passes C's own canonical clause and whose spectrum stays
         # within the bound on the whole grid.
-        thetas = [j * np.pi / cfg.grid_points for j in range(1, cfg.grid_points + 1)]
+        g = search_module._GRID_POINTS
+        thetas = [j * np.pi / g for j in range(1, g + 1)]
         expected = set()
         for bits in itertools.product((1, -1), repeat=10):
             if sum(bits) != 0 or not _c_clause(bits):
@@ -269,7 +275,7 @@ class TestBuildPool:
         assert pool_rows(pool) == len(expected)
 
     def test_bucket_membership_is_partition(self):
-        pool = search_module._lazy_pool(10, "C", (2,), cfg10())
+        pool = search_module._lazy_pool("C", (2,), cfg10())
         seen = set()
         for (head, tail), bucket in every_bucket(pool).items():
             assert len(head) == len(tail) == pool.bucket_len
@@ -283,14 +289,14 @@ class TestBuildPool:
 
     def test_sum_square_above_bound_gives_empty_pool(self):
         # f(0) = (row sum)^2, so target 6 with bound 29 is impossible.
-        assert every_bucket(search_module._lazy_pool(10, "C", (6,), cfg10())) == {}
+        assert every_bucket(search_module._lazy_pool("C", (6,), cfg10())) == {}
 
     def test_parity_mismatch_gives_empty_pool(self):
-        assert every_bucket(search_module._lazy_pool(10, "C", (3,), cfg10())) == {}
-        assert every_bucket(search_module._lazy_pool(10, "D", (2,), cfg10())) == {}
+        assert every_bucket(search_module._lazy_pool("C", (3,), cfg10())) == {}
+        assert every_bucket(search_module._lazy_pool("D", (2,), cfg10())) == {}
 
     def test_d_pool_uses_d_head_len_buckets(self):
-        pool = search_module._lazy_pool(10, "D", (5,), cfg10())
+        pool = search_module._lazy_pool("D", (5,), cfg10())
         assert pool.length == 9
         assert pool.bucket_len == 1
         buckets = every_bucket(pool)
@@ -307,7 +313,7 @@ class TestBuildPool:
 
         monkeypatch.setattr(search_module, "spectrum_rows", no_rows)
         cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
-        pool = search_module._lazy_pool(38, "D", (-3,), cfg)
+        pool = search_module._lazy_pool("D", (-3,), cfg)
         key = ((1, -1, -1, -1, -1, 1), (-1, -1, -1, -1, 1, 1))
         with pytest.raises(FeasibilityError) as exc:
             pool.bucket(key)
@@ -336,7 +342,7 @@ class TestBuildPool:
                     kept = [entry for entry in found if clause(tuple(entry[0].tolist()))]
                     if kept:
                         expected[key] = kept
-                pool = search_module._lazy_pool(n, kind, (target_sum,), cfg)
+                pool = search_module._lazy_pool(kind, (target_sum,), cfg)
                 one_sum_pools.append(pool)
                 for key in itertools.product(boundary, repeat=2):
                     bucket = pool.bucket(key)
@@ -349,7 +355,7 @@ class TestBuildPool:
                         bucket.spectra, np.array(spectra), rtol=0, atol=1e-9
                     )
                 assert pool_rows(pool) == sum(map(len, expected.values()))
-            every_sum = search_module._lazy_pool(n, kind, reversed(sums), cfg)
+            every_sum = search_module._lazy_pool(kind, reversed(sums), cfg)
             assert every_sum.sums == tuple(sums)
             for key in itertools.product(boundary, repeat=2):
                 parts = [pool.buckets[key] for pool in one_sum_pools]
@@ -366,7 +372,7 @@ class TestBuildPool:
     def test_bucket_row_cap_refusal(self, monkeypatch):
         # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates.
         monkeypatch.setattr(search_module, "_CAP_ROWS", 5)
-        pool = search_module._lazy_pool(10, "C", (2,), cfg10())
+        pool = search_module._lazy_pool("C", (2,), cfg10())
         with pytest.raises(FeasibilityError, match="15 candidate rows .cap 5."):
             pool.bucket(((1, 1), (1, 1)))
 
@@ -374,10 +380,10 @@ class TestBuildPool:
         # Same middle: sum 0 has comb(6, 5) = 6 candidates and sum -2 has
         # 1.  Their 7 pass a cap of 6, since each sum's part is capped alone.
         monkeypatch.setattr(search_module, "_CAP_ROWS", 6)
-        pool = search_module._lazy_pool(10, "C", (0, -2), cfg10())
+        pool = search_module._lazy_pool("C", (0, -2), cfg10())
         assert len(pool.bucket(((1, 1), (1, 1))).rows) <= 7
         monkeypatch.setattr(search_module, "_CAP_ROWS", 14)
-        pool = search_module._lazy_pool(10, "C", (0, 2), cfg10())
+        pool = search_module._lazy_pool("C", (0, 2), cfg10())
         with pytest.raises(FeasibilityError, match="with sum 2 has 15 candidate rows"):
             pool.bucket(((1, 1), (1, 1)))
 
@@ -422,7 +428,7 @@ class TestFillMiddle:
         # ones of n = 30..38 are walked.
         quad = decode(PUBLISHED_CODES[n], n)
         head_len = default_head_len(n)
-        seed = SeedQuad.from_quad(quad, head_len, head_len - 1)
+        seed = SeedQuad.from_quad(quad, head_len)
         fills = list(fill_middle(seed, quad.c, quad.d))
         assert all(verify_tt(q) for q in fills)
         assert encode(quad, form="full") in {encode(q, form="full") for q in fills}
@@ -433,20 +439,20 @@ class TestFillMiddle:
         # class's own canonical member.
         cfg = cfg10()
         quad = decode(code, 10)
-        seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
+        seed = SeedQuad.from_quad(quad, cfg.head_len)
         outputs = list(fill_middle(seed, quad.c, quad.d))
         assert quad in outputs
         for out in outputs:
             assert verify_tt(out)
             assert out.c == quad.c and out.d == quad.d
-            assert SeedQuad.from_quad(out, cfg.head_len, cfg.d_head_len) == seed
+            assert SeedQuad.from_quad(out, cfg.head_len) == seed
             assert tuple(out.a.entries[:2]) == seed.a[:2]
             assert tuple(out.b.entries[-2:]) == seed.b[-2:]
 
     def test_boundary_mismatch_rejected(self):
         cfg = cfg10()
         quad = decode(enumerate_canonical(10).codes[0], 10)
-        seed = SeedQuad.from_quad(quad, cfg.head_len, cfg.d_head_len)
+        seed = SeedQuad.from_quad(quad, cfg.head_len)
         with pytest.raises(ValueError, match="boundary"):
             fill_middle(seed, quad.c.negate(), quad.d)
         with pytest.raises(ValueError, match="full rows"):
@@ -464,7 +470,7 @@ class TestJoin:
     def test_join_equals_walk_on_reference_rows(self, n, code):
         quad = decode(code, n)
         head_len = default_head_len(n)
-        seed = SeedQuad.from_quad(quad, head_len, head_len - 1)
+        seed = SeedQuad.from_quad(quad, head_len)
         c_rows, d_rows = (np.array([row.entries], np.int8) for row in (quad.c, quad.d))
         pairs = search_module._pair_block(c_rows, d_rows)
         joined = list(search_module._completions(seed, pairs, {}, None))
@@ -575,9 +581,12 @@ class TestPairScreen:
             monkeypatch.setattr(search_module, "_PAIR_BLOCK", block)
         cfg = SearchConfig(n=n)
         limit = cfg.spectral_bound + search_module._SPECTRAL_TOL
-        targets = sorted({(sq.c, sq.d) for sq in SIGNED_SQUARES(n)})
-        works = [search_module._SeedWork(cfg, targets, None)]
-        works += [search_module._SeedWork(cfg, [target], None) for target in targets]
+        one_per_target = {(sq.c, sq.d): sq for sq in SIGNED_SQUARES(n)}
+        works = [search_module._SeedWork(cfg)]
+        works += [
+            search_module._SeedWork(SearchConfig(n=n, squares=sq))
+            for _, sq in sorted(one_per_target.items())
+        ]
         compared = kept = 0
         for work in works:
             for c_bucket in every_bucket(work.pool_c).values():
