@@ -26,14 +26,18 @@ from n, not chosen: a lower one loses solutions and a higher one only
 costs time.  The clauses are tested first, so a dropped row costs no
 spectrum.  Pools are bucketed by their boundary entries so a seed only
 meets candidates extending it exactly; a bucket is built, from its
-middle entries alone, when a seed first names its boundary.
+middle entries alone, when a seed first names its boundary, and keeps
+each row's NAF and its spectrum on every 16th grid point only.
 
 The (C, D) pairs of a bucket pair are screened in fixed-size blocks:
-first by their sums, then on every 16th grid point, then on the full
-grid.  No solution is lost: any TT has a^2 + b^2 + 2c^2 + 2d^2 = 6n - 2,
-so its (c, d) is a live target of the run; the coarse grid is a subset
-of the full grid, so a coarse reject is a full-grid reject; and the
-full-grid test is the same float sum as a pair-by-pair test.
+first by their sums, then on the coarse points, then on the full grid
+by the spectrum of N_C + N_D with N(0) = 2n - 1.  No solution is lost:
+any TT has a^2 + b^2 + 2c^2 + 2d^2 = 6n - 2, so its (c, d) is a live
+target of the run; the coarse values are those of the full grid, so a
+coarse reject is a full-grid reject; and f is linear in the NAF, so the
+spectrum of the integer NAF sum is f_C + f_D up to rounding near 1e-12,
+far inside the tolerance, while a valid pair's exact maximum is at most
+(6n - 2)/2.  That NAF sum also gives the join its target.
 
 The A and B middles are then completed by a join.  Once C and D are
 fixed, A and B are independent: the quadruple is valid exactly when
@@ -94,7 +98,7 @@ from .enumeration import (
     _pm_rows,
     decompositions,
 )
-from .seqs import BinarySeq, naf_rows, naf_vanishes, spectrum_rows
+from .seqs import BinarySeq, naf_rows, naf_vanishes, spectrum_nafs
 
 _SPECTRAL_TOL = 1e-6
 # Pool spectra are sampled at theta = j*pi/_GRID_POINTS, j = 1.._GRID_POINTS.
@@ -175,9 +179,15 @@ class SearchConfig:
         )
 
     def run_hash(self) -> str:
-        import hashlib  # loads OpenSSL; only checkpoints need it
-
-        return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
+        # CPython's built-in sha256 (_sha2 from 3.12, _sha256 before) gives
+        # the digest of hashlib's without loading OpenSSL.
+        for module in ("_sha2", "_sha256", "hashlib"):
+            try:
+                sha256 = __import__(module).sha256
+                break
+            except ImportError:
+                pass
+        return sha256(self.describe().encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -225,19 +235,12 @@ class SeedQuad:
 
     @classmethod
     def from_quad(cls, quad: TurynQuad, head_len: int) -> "SeedQuad":
-        def mask(entries, h):
-            length = len(entries)
-            return tuple(
-                v if j < h or j >= length - h else 0 for j, v in enumerate(entries)
-            )
+        def mask(seq, h):
+            e = seq.entries
+            return e[:h] + (0,) * (len(e) - 2 * h) + e[len(e) - h :]
 
-        return cls(
-            mask(quad.a.entries, head_len),
-            mask(quad.b.entries, head_len),
-            mask(quad.c.entries, head_len),
-            mask(quad.d.entries, head_len - 1),
-            head_len,
-        )
+        rows = (quad.a, quad.b, quad.c, quad.d)
+        return cls(*map(mask, rows, (head_len,) * 3 + (head_len - 1,)), head_len)
 
     def c_bucket_key(self):
         h = self.head_len
@@ -269,10 +272,22 @@ def generate_seeds(cfg: SearchConfig):
 
 @dataclass(frozen=True)
 class PoolBucket:
-    """Candidate rows sharing one boundary pattern, with their spectra on the fixed grid."""
+    """Candidate rows sharing one boundary pattern, with their NAFs and coarse spectra."""
 
     rows: np.ndarray  # (count, length) of +-1, int8
-    spectra: np.ndarray  # (count, _GRID_POINTS) of f(theta_j), float64
+    nafs: np.ndarray  # (count, length - 1) of N(1)..N(length-1), int16
+    coarse: np.ndarray  # (count, 38) of f(theta_j), j = 1, 17, ..., 593, float64
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.nafs.nbytes + self.coarse.nbytes
+
+
+@functools.cache
+def _cos_table(length: int) -> np.ndarray:
+    """cos(s theta_j) for the lags s = 0..length-1 (rows) on the fixed grid (columns)."""
+    grid = np.arange(1, _GRID_POINTS + 1) * (np.pi / _GRID_POINTS)
+    return np.cos(np.arange(length)[:, None] * grid)
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,8 @@ class SequencePool:
     (`core._clause_mask`; a canonical quadruple's C and D always do) and
     the spectral bound (6n - 2)/2 on the fixed grid, sum by sum in
     ascending order; within a sum, rows come in the lexicographic order
-    of their middle's -1 positions.
+    of their middle's -1 positions.  With each row it keeps the NAF and
+    the coarse spectrum the pair screen reads, not the full spectrum.
     Each sum's part of a bucket may have at most `_CAP_ROWS` candidate
     rows, counted before either filter.
     """
@@ -298,12 +314,6 @@ class SequencePool:
     bucket_len: int
     buckets: dict
     cfg: SearchConfig
-
-    @functools.cached_property
-    def _cos_table(self) -> np.ndarray:
-        lags = np.arange(self.length)
-        grid = np.arange(1, _GRID_POINTS + 1) * (np.pi / _GRID_POINTS)
-        return np.cos(lags[:, None] * grid[None, :])
 
     def bucket(self, key) -> PoolBucket | None:
         """The passing rows extending boundary `key`, built on first use."""
@@ -340,13 +350,15 @@ class SequencePool:
                 rows = rows[_clause_mask(rows, self.kind)]
                 if not len(rows):
                     continue
-                spectra = spectrum_rows(rows, self._cos_table)
+                nafs = naf_rows(rows)
+                spectra = spectrum_nafs(self.length, nafs, _cos_table(self.length))
                 mask = spectra.max(axis=1) <= self.cfg.spectral_bound + _SPECTRAL_TOL
-                kept.append((rows[mask], spectra[mask]))
+                # Copies: the chunk's full spectra are freed with it.
+                kept.append((rows[mask], nafs[mask], spectra[mask, ::_COARSE_STEP]))
         if not kept:
             return None
-        rows, spectra = (np.concatenate(parts) for parts in zip(*kept))
-        return PoolBucket(rows, spectra) if len(rows) else None
+        bucket = PoolBucket(*(np.concatenate(parts) for parts in zip(*kept)))
+        return bucket if len(bucket.rows) else None
 
 
 def _negatives(length: int, row_sum: int, cfg: SearchConfig) -> int | None:
@@ -359,22 +371,8 @@ def _negatives(length: int, row_sum: int, cfg: SearchConfig) -> int | None:
 
 def _lazy_pool(kind, sums, cfg) -> SequencePool:
     """A pool of the given row sums holding no rows yet; buckets are built on request."""
-    n = cfg.n
-    length, bucket_len = (n, cfg.head_len) if kind == "C" else (n - 1, cfg.d_head_len)
+    length, bucket_len = (cfg.n, cfg.head_len) if kind == "C" else (cfg.n - 1, cfg.d_head_len)
     return SequencePool(kind, length, tuple(sorted(set(sums))), bucket_len, {}, cfg)
-
-
-def _check_fill_args(seed: SeedQuad, c_entries, d_entries):
-    n = seed.n
-    if len(c_entries) != n or len(d_entries) != n - 1:
-        raise ValueError("C and D must be full rows of lengths n and n-1")
-    h, dh = seed.head_len, seed.d_head_len
-    for j in itertools.chain(range(h), range(n - h, n)):
-        if c_entries[j] != seed.c[j]:
-            raise ValueError(f"C boundary entry {j} differs from the seed")
-    for j in itertools.chain(range(dh), range(n - 1 - dh, n - 1)):
-        if d_entries[j] != seed.d[j]:
-            raise ValueError(f"D boundary entry {j} differs from the seed")
 
 
 def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
@@ -385,7 +383,12 @@ def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
     extend the seed's boundary entries; the caller is expected to have
     applied the pair bound f_C + f_D <= (6n - 2)/2.
     """
-    _check_fill_args(seed, c.entries, d.entries)
+    if len(c) != seed.n or len(d) != seed.n - 1:
+        raise ValueError("C and D must be full rows of lengths n and n-1")
+    for name, row, seed_row in (("C", c.entries, seed.c), ("D", d.entries, seed.d)):
+        for j in np.flatnonzero(seed_row):
+            if row[j] != seed_row[j]:
+                raise ValueError(f"{name} boundary entry {j} differs from the seed")
     pairs = _pair_block(np.array([c.entries], np.int8), np.array([d.entries], np.int8))
     return _completions(seed, pairs, {}, None)
 
@@ -434,12 +437,13 @@ def _hash_weights(count: int) -> np.ndarray:
     )
 
 
-def _pair_block(c_rows: np.ndarray, d_rows: np.ndarray) -> _Pairs:
-    # A trailing zero makes D's missing lag n - 1 read 0.
-    d_padded = np.zeros_like(c_rows)
-    d_padded[:, :-1] = d_rows
-    target = naf_rows(c_rows) + naf_rows(d_padded)
-    target *= -2
+def _pair_block(c_rows: np.ndarray, d_rows: np.ndarray, nafs=None) -> _Pairs:
+    # `nafs`, N_C + N_D at lags 1..n-1, is computed unless the screen gave it.
+    if nafs is None:
+        # D lacks lag n - 1, as if padded by a trailing zero.
+        nafs = naf_rows(c_rows)
+        nafs[:, :-1] += naf_rows(d_rows)
+    target = -2 * nafs
     return _Pairs(c_rows, d_rows, target, target @ _hash_weights(target.shape[1]))
 
 
@@ -525,37 +529,33 @@ def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
 
 
 def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray, limit: float):
-    """Row indices (ic, id) of the bucket pairs kept for the join, row-major.
+    """Row indices (ic, id) of the bucket pairs kept for the join, row-major, and N_C + N_D.
 
     A pair is kept when its (sum C, sum D) is marked in `live` (indexed
-    by sum + n) and f_C + f_D <= `limit` at every grid point.  Blocks of
-    `_PAIR_BLOCK` pairs are screened first on every `_COARSE_STEP`-th
-    grid point, then on the full grid: each reject at a coarse point is
-    a reject on the full grid, so the decisions are exactly those of the
-    full-grid test, and the temporaries never exceed one block.
+    by sum + n) and f_C + f_D <= `limit` at every grid point: first on
+    the coarse points, then as the spectrum of N_C + N_D (D padded by a
+    trailing zero), in blocks of `_PAIR_BLOCK` pairs.
     """
+    n = c_bucket.rows.shape[1]
     count_d = len(d_bucket.rows)
     total = len(c_bucket.rows) * count_d
     offset = live.shape[0] // 2
     sums_c = c_bucket.rows.sum(axis=1) + offset
     sums_d = d_bucket.rows.sum(axis=1) + offset
-    coarse_c = c_bucket.spectra[:, ::_COARSE_STEP]
-    coarse_d = d_bucket.spectra[:, ::_COARSE_STEP]
-    kept_c, kept_d = [], []
+    kept = []
     for start in range(0, total, _PAIR_BLOCK):
         ic, id_ = np.divmod(np.arange(start, min(start + _PAIR_BLOCK, total)), count_d)
         keep = live[sums_c[ic], sums_d[id_]]
         ic, id_ = ic[keep], id_[keep]
-        coarse = coarse_c[ic]
-        coarse += coarse_d[id_]
+        coarse = c_bucket.coarse[ic]
+        coarse += d_bucket.coarse[id_]
         keep = coarse.max(axis=1) <= limit
         ic, id_ = ic[keep], id_[keep]
-        full = c_bucket.spectra[ic]
-        full += d_bucket.spectra[id_]
-        keep = full.max(axis=1) <= limit
-        kept_c.append(ic[keep])
-        kept_d.append(id_[keep])
-    return np.concatenate(kept_c), np.concatenate(kept_d)
+        nafs = c_bucket.nafs[ic]
+        nafs[:, :-1] += d_bucket.nafs[id_]
+        keep = spectrum_nafs(2 * n - 1, nafs, _cos_table(n)).max(axis=1) <= limit
+        kept.append((ic[keep], id_[keep], nafs[keep]))
+    return tuple(np.concatenate(parts) for parts in zip(*kept))
 
 
 class _SeedWork:
@@ -595,8 +595,8 @@ class _SeedWork:
         d_bucket = None if c_bucket is None else self.pool_d.bucket(d_key)
         if d_bucket is None:
             return None
-        ic, id_ = _spectral_pairs(c_bucket, d_bucket, self.live, self.limit)
-        return _pair_block(c_bucket.rows[ic], d_bucket.rows[id_])
+        ic, id_, nafs = _spectral_pairs(c_bucket, d_bucket, self.live, self.limit)
+        return _pair_block(c_bucket.rows[ic], d_bucket.rows[id_], nafs)
 
     def hits(self, item) -> list[str]:
         """Compact codes of all canonical hits for one seed, in pool order."""

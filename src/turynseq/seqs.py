@@ -25,9 +25,10 @@ nonnegative up to floating rounding.
 
 `naf_rows` is the one NAF kernel: every autocorrelation in the package,
 from `naf_all` and the lag conditions of `naf_vanishes` to the pool
-spectra of `spectrum_rows`, is computed by it.  A sequence shorter than
-the others (D in a Turyn quadruple) is padded with trailing zeros, which
-leaves its NAF unchanged and makes the lags it lacks read 0.
+spectra, is computed by it, and `spectrum_nafs` is the one spectrum
+formula.  A sequence shorter than the others (D in a Turyn quadruple)
+is padded with trailing zeros, which leaves its NAF unchanged and makes
+the lags it lacks read 0.
 """
 
 from __future__ import annotations
@@ -157,26 +158,31 @@ def naf_vanishes(rows, weights) -> np.ndarray:
     return ~np.any((np.asarray(weights) @ nafs).reshape(count, length - 1), axis=1)
 
 
-def spectrum_rows(rows: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
-    """f(theta_j) = N(0) + 2 sum_s N(s) cos(s theta_j) of every row of `rows`.
+def spectrum_nafs(n0, nafs: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
+    """f(theta_j) = N(0) + 2 sum_s N(s) cos(s theta_j) from N(0) and the rows of `nafs`.
 
-    `rows` is a (count, L) {0, -1, +1} matrix and `cos_table[s, j]` holds
-    cos(s theta_j) for the lags s = 0..L-1.  N(0) is the number of nonzero
-    entries and the other lags come from `naf_rows`; one matrix product
-    of (N(0), 2 N(1), ..., 2 N(L-1)) with the table sums them.
+    `nafs` is a (count, L - 1) matrix of N(1), ..., N(L-1), `n0` the N(0)
+    of all rows or of each, and `cos_table[s, j]` holds cos(s theta_j)
+    for the lags s = 0..L-1; one matrix product of
+    (N(0), 2 N(1), ..., 2 N(L-1)) with the table sums them.  f is linear
+    in the NAF, so a NAF sum gives the sum of the spectra.
     """
-    weighted = np.concatenate([np.count_nonzero(rows, axis=1)[:, None], 2 * naf_rows(rows)], 1)
-    return weighted.astype(np.float64) @ cos_table
+    weighted = np.empty((len(nafs), nafs.shape[1] + 1))
+    weighted[:, 0] = n0
+    weighted[:, 1:] = nafs
+    weighted[:, 1:] *= 2
+    return weighted @ cos_table
 
 
 def spectrum_value(seq: Seq, theta: float) -> float:
     """Evaluate f(theta) = N(0) + 2 sum_{j>=1} N(j) cos(j*theta).
 
-    One row of `spectrum_rows`, so it agrees with the pool spectra; equals
+    One row of `spectrum_nafs`, so it agrees with the pool spectra; equals
     |A(e^{i*theta})|^2 up to rounding, hence nonnegative.
     """
+    n0, *nafs = naf_all(seq)
     cos_column = np.cos(np.arange(len(seq))[:, None] * theta)
-    return float(spectrum_rows(np.array([seq.entries], np.int8), cos_column)[0, 0])
+    return float(spectrum_nafs(n0, np.array([nafs]), cos_column)[0, 0])
 
 
 def half_combine(a: BinarySeq, b: BinarySeq, sign: int) -> TernarySeq:

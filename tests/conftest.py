@@ -118,15 +118,24 @@ def full_dfs_codes(n: int) -> list[str]:
     return sorted(codes)
 
 
-def per_row_pairs(c_bucket, d_bucket, limit):
+def grid_spectra(rows, grid_points):
+    """f(theta_j) = |X(e^{i theta_j})|^2 of every row at theta_j = j*pi/grid_points, j >= 1.
+
+    An FFT, independent of the search's NAF-based spectra.
+    """
+    return np.abs(np.fft.rfft(rows, 2 * grid_points, axis=1)[:, 1 : grid_points + 1]) ** 2
+
+
+def per_row_pairs(c_bucket, d_bucket, limit, grid_points):
     """(ic, id) of the bucket pairs with f_C + f_D <= limit on the full grid, row-major.
 
     The per-C-row loop the search once ran, kept as the oracle of its
-    vectorised pair screen.
+    vectorised pair screen; the spectra come from the bucket rows.
     """
+    d_spectra = grid_spectra(d_bucket.rows, grid_points)
     partners = [
-        np.nonzero((spectrum + d_bucket.spectra).max(axis=1) <= limit)[0]
-        for spectrum in c_bucket.spectra
+        np.nonzero((spectrum + d_spectra).max(axis=1) <= limit)[0]
+        for spectrum in grid_spectra(c_bucket.rows, grid_points)
     ]
     ic = np.repeat(np.arange(len(partners)), [ids.size for ids in partners])
     return ic, np.concatenate(partners)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface, mostly via in-process main() calls."""
 
+import importlib.util
 import io
 import subprocess
 import sys
@@ -342,23 +343,38 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["++++", "++-+", "++--", "+-+"]
 
-    def test_start_up_defers_hashlib_and_multiprocessing(self):
-        # Only checkpoints need hashlib and only parallel runs need
-        # multiprocessing; both are imported where they are used.
+    def test_start_up_defers_hashlib_and_multiprocessing(self, tmp_path):
+        # Only checkpoints need a hash and only parallel runs need
+        # multiprocessing; both are imported where they are used.  A
+        # checkpointed run hashes with CPython's built-in sha256 where
+        # there is one (_sha2 from 3.12, _sha256 before), so OpenSSL's
+        # _hashlib is never loaded there.
+        (tmp_path / "run.cfg").write_text("n = 10\nsquares = 0, 0, 2, 5\n")
+        watched = "{'hashlib', '_hashlib', 'multiprocessing'}"
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import sys, turynseq.cli; "
-                "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))",
+                "import sys, turynseq.cli\n"
+                f"print(sorted({watched} & set(sys.modules)))\n"
+                "turynseq.cli.main(['search', 'run.cfg', '--resume', 'CK', '--out', 'HITS'])\n"
+                f"print(sorted({watched} & set(sys.modules)))",
             ],
             capture_output=True,
             text=True,
             timeout=60,
             env=child_env(),
+            cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0] == "[]"
+        assert "multiprocessing" not in lines[-1]
+        if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+            assert lines[-1] == "[]"
+        config = SearchConfig(n=10, squares=(0, 0, 2, 5)).run_hash()
+        assert f"config={config}" in (tmp_path / "CK").read_text()
+        assert (tmp_path / "HITS").read_text()
 
     def test_module_invocation(self):
         proc = subprocess.run(

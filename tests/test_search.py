@@ -1,7 +1,9 @@
 """Tests for the two-phase search: seeds, pools, fill-in, orchestration."""
 
 import dataclasses
+import hashlib
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from conftest import (
     TT38_D,
     TT38_CODE,
     child_env,
+    grid_spectra,
     load_reference_codes,
     per_row_pairs,
     seed_lag_sum,
@@ -74,12 +77,11 @@ def spectral_full_rows(length: int, h: int, row_sum: int, cfg: SearchConfig) -> 
     Rows come in the combinations order of their -1 positions, each with
     its grid spectrum from an FFT; no canonical clause is applied.
     """
-    g = search_module._GRID_POINTS
     found: dict[tuple, list] = {}
     for negs in itertools.combinations(range(length), (length - row_sum) // 2):
         row = np.ones(length, np.int8)
         row[list(negs)] = -1
-        spectrum = np.abs(np.fft.rfft(row, 2 * g)[1 : g + 1]) ** 2
+        spectrum = grid_spectra(row[None], search_module._GRID_POINTS)[0]
         if spectrum.max() <= cfg.spectral_bound + 1e-6:
             key = (tuple(row[:h].tolist()), tuple(row[length - h :].tolist()))
             found.setdefault(key, []).append((row, spectrum))
@@ -140,12 +142,16 @@ class TestSearchConfig:
         assert base.run_hash() != cfg10(head_len=3).run_hash()
 
     def test_run_hash_is_stable(self):
-        # Existing checkpoints carry this hash and must still resume.
-        cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
-        assert cfg.run_hash() == "dc4ae9817529cceb"
-        cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
-        assert cfg.run_hash() == "afae115d97c7b568"
-        assert SearchConfig(n=12).run_hash() == "a7c90e1dd985ae94"
+        # Existing checkpoints carry this hash and must still resume, and
+        # it is hashlib's sha256 whichever module computes it.
+        pinned = {
+            SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3)): "dc4ae9817529cceb",
+            SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3)): "afae115d97c7b568",
+            SearchConfig(n=12): "a7c90e1dd985ae94",
+        }
+        for cfg, run_hash in pinned.items():
+            assert cfg.run_hash() == run_hash
+            assert hashlib.sha256(cfg.describe().encode()).hexdigest()[:16] == run_hash
 
     def test_no_squares_means_every_target(self):
         cfg = SearchConfig(n=10)
@@ -307,11 +313,12 @@ class TestBuildPool:
     def test_row_cap_refusal(self, monkeypatch):
         # The D bucket of sum -3 at n=38 whose 25-entry middle has 12 of
         # its entries -1: comb(25, 12) = 5,200,300 candidates.  The
-        # refusal comes before any row is built.
+        # refusal comes before any row is built: the clause mask is the
+        # first call on a chunk of rows.
         def no_rows(*args):
             raise AssertionError("a refused bucket must build no rows")
 
-        monkeypatch.setattr(search_module, "spectrum_rows", no_rows)
+        monkeypatch.setattr(search_module, "_clause_mask", no_rows)
         cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
         pool = search_module._lazy_pool("D", (-3,), cfg)
         key = ((1, -1, -1, -1, -1, 1), (-1, -1, -1, -1, 1, 1))
@@ -325,9 +332,10 @@ class TestBuildPool:
     def test_lazy_buckets_equal_filtered_full_rows(self, n):
         # Expected buckets come from scanning every full row of the sum in
         # combinations order, with spectra from an FFT on the same grid,
-        # and keeping those that pass the row's own canonical clause.
-        # A pool over every sum then holds, per boundary, the one-sum
-        # buckets concatenated in ascending order of sum.
+        # and keeping those that pass the row's own canonical clause; a
+        # bucket keeps every 16th grid point and the rows' NAFs.  A pool
+        # over every sum then holds, per boundary, the one-sum buckets
+        # concatenated in ascending order of sum.
         cfg = SearchConfig(n=n)  # pools depend on n and the widths only
         for kind, length, h, clause in (
             ("C", n, cfg.head_len, _c_clause),
@@ -352,8 +360,11 @@ class TestBuildPool:
                     rows, spectra = zip(*expected[key])
                     assert np.array_equal(bucket.rows, np.array(rows, np.int8))
                     np.testing.assert_allclose(
-                        bucket.spectra, np.array(spectra), rtol=0, atol=1e-9
+                        bucket.coarse, np.array(spectra)[:, ::16], rtol=0, atol=1e-9
                     )
+                    nafs = [np.correlate(row, row, "full")[length:] for row in rows]
+                    assert bucket.nafs.dtype == np.int16
+                    assert np.array_equal(bucket.nafs, np.array(nafs))
                 assert pool_rows(pool) == sum(map(len, expected.values()))
             every_sum = search_module._lazy_pool(kind, reversed(sums), cfg)
             assert every_sum.sums == tuple(sums)
@@ -364,10 +375,31 @@ class TestBuildPool:
                 if not parts:
                     assert bucket is None, (kind, key)
                     continue
-                assert np.array_equal(bucket.rows, np.concatenate([p.rows for p in parts]))
-                assert np.array_equal(
-                    bucket.spectra, np.concatenate([p.spectra for p in parts])
-                )
+                for field in ("rows", "nafs", "coarse"):
+                    assert np.array_equal(
+                        getattr(bucket, field),
+                        np.concatenate([getattr(p, field) for p in parts]),
+                    )
+
+    @pytest.mark.skipif(
+        os.environ.get("TURYNSEQ_LONG") != "1", reason="set TURYNSEQ_LONG=1 to run"
+    )
+    def test_tt38_seed_buckets_are_compact(self):
+        # The C and D buckets the TT(38) seed names: 168,879 and 232,490
+        # rows, each with its int8 row, int16 NAF and 38 coarse floats.
+        cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
+        quad = tt38_quad()
+        seed = SeedQuad.from_quad(quad, cfg.head_len)
+        work = search_module._SeedWork(cfg)
+        for pool, key, row, count in (
+            (work.pool_c, seed.c_bucket_key(), quad.c, 168_879),
+            (work.pool_d, seed.d_bucket_key(), quad.d, 232_490),
+        ):
+            bucket = pool.bucket(key)
+            length = pool.length
+            assert len(bucket.rows) == count
+            assert np.all(bucket.rows == np.array(row.entries), axis=1).any()
+            assert bucket.nbytes == count * (length + 2 * (length - 1) + 38 * 8)
 
     def test_bucket_row_cap_refusal(self, monkeypatch):
         # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates.
@@ -581,6 +613,7 @@ class TestPairScreen:
             monkeypatch.setattr(search_module, "_PAIR_BLOCK", block)
         cfg = SearchConfig(n=n)
         limit = cfg.spectral_bound + search_module._SPECTRAL_TOL
+        grid = search_module._GRID_POINTS
         one_per_target = {(sq.c, sq.d): sq for sq in SIGNED_SQUARES(n)}
         works = [search_module._SeedWork(cfg)]
         works += [
@@ -591,13 +624,18 @@ class TestPairScreen:
         for work in works:
             for c_bucket in every_bucket(work.pool_c).values():
                 for d_bucket in every_bucket(work.pool_d).values():
-                    ic, id_ = per_row_pairs(c_bucket, d_bucket, limit)
+                    ic, id_ = per_row_pairs(c_bucket, d_bucket, limit, grid)
                     sums_c = c_bucket.rows.sum(axis=1)[ic] + n
                     sums_d = d_bucket.rows.sum(axis=1)[id_] + n
                     live = work.live[sums_c, sums_d]
                     got = search_module._spectral_pairs(c_bucket, d_bucket, work.live, limit)
                     assert np.array_equal(got[0], ic[live])
                     assert np.array_equal(got[1], id_[live])
+                    # The third part is N_C + N_D, D padded by a trailing zero.
+                    pairs = search_module._pair_block(
+                        c_bucket.rows[got[0]], d_bucket.rows[got[1]]
+                    )
+                    assert np.array_equal(-2 * got[2], pairs.target)
                     compared += 1
                     kept += int(live.sum())
         assert compared and kept
