@@ -13,12 +13,11 @@ from .constructions import base_to_t, tt_to_base, verify_base, verify_t
 from .core import TurynQuad, is_canonical, verify_tt
 from .enumeration import (
     Decomposition,
-    FeasibilityError,
     decompositions,
     enumerate_canonical,
     realizability_report,
 )
-from .search import CheckpointError, SearchConfig, search
+from .search import SearchConfig, search
 
 OK = 0
 CHECK_FAILED = 1
@@ -299,15 +298,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # InputError, CodecError, CheckpointError and FeasibilityError subclass ValueError.
     try:
         return args.func(args)
-    except (InputError, CodecError, CheckpointError, FeasibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

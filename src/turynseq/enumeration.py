@@ -3,7 +3,7 @@
 `enumerate_canonical` lists the canonical representative of every
 equivalence class at length n, as sorted compact codes.  It runs the
 two-phase search of `search.search` over every row-sum target
-(boundary seeds, spectrally filtered C/D pools, and the A/B middle
+(boundary seeds, spectrally filtered C/D buckets, and the A/B middle
 join), which keeps every canonical quadruple.  `brute_force_classes` recomputes the same classes
 for tiny n by raw constraint filtering over all 2^(4n-1) quadruples
 (meet-in-the-middle over the defining identity), entirely independent

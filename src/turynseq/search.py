@@ -9,9 +9,10 @@ chosen: head_len - 1 is the narrowest D boundary that settles every lag
 s >= n - head_len, and a wider one settles no further lag.
 
 Phase two pairs each seed with full candidate rows for C and D drawn
-from pools.  A pool holds the full-length rows, of each signed row sum
-in its set, that pass their own canonical clauses ((i) and (iv) for C,
-(i) and (v) for D) and whose spectrum
+from buckets.  A bucket holds the full-length rows extending one
+boundary, of each signed row sum the run's targets give that sequence,
+that pass their own canonical clauses ((i) and (iv) for C, (i) and (v)
+for D) and whose spectrum
 
     f(theta) = N(0) + 2 sum_s N(s) cos(s theta)
 
@@ -24,15 +25,14 @@ nonnegative and the four spectra of a valid quadruple sum pointwise to
 valid (C, D) pair by f_C + f_D <= (6n - 2)/2.  The bound is derived
 from n, not chosen: a lower one loses solutions and a higher one only
 costs time.  The clauses are tested first, so a dropped row costs no
-spectrum.  Pools are bucketed by their boundary entries so a seed only
-meets candidates extending it exactly; a bucket is built, from its
-middle entries alone, when a seed first names its boundary, and keeps
-each row's NAF and its spectrum on every 16th grid point only.
+spectrum.  A bucket is built, from its middle entries alone, when a
+seed first names its boundary, and keeps each row's NAF and its
+spectrum on every 16th grid point only.
 
 The (C, D) pairs of a bucket pair are screened in fixed-size blocks:
 first by their sums, then on the coarse points, then on the full grid
 by the spectrum of N_C + N_D with N(0) = 2n - 1.  No solution is lost:
-any TT has a^2 + b^2 + 2c^2 + 2d^2 = 6n - 2, so its (c, d) is a live
+any TT has a^2 + b^2 + 2c^2 + 2d^2 = 6n - 2, so its (c, d) is a
 target of the run; the coarse values are those of the full grid, so a
 coarse reject is a full-grid reject; and f is linear in the NAF, so the
 spectrum of the integer NAF sum is f_C + f_D up to rounding near 1e-12,
@@ -44,36 +44,37 @@ fixed, A and B are independent: the quadruple is valid exactly when
 
     N_A(s) + N_B(s) = T(s) = -2 (N_C(s) + N_D(s))   for s = 1..n-1.
 
-For each seed, a table holds every full A row over the 2^m middles
-(m = n - 2 head_len) with its NAF vector and an integer hash of it
-under a fixed linear projection, sorted by hash; B's table is built the
-same way.  For all spectrum-passing (C, D) pairs of the seed at once,
-hash(T) - hash(N_B) is looked up among A's hashes, and every match is
-confirmed by exact NAF equality.  All of a seed's hits are then checked
-together, by the identity `verify_tt` tests (weights 1, 1, 2, 2, D
-padded by a trailing zero), and a failure raises.  No solution is lost:
-a table drops only rows failing that row's own canonical clause (every
-canonical quadruple passes it) or, in `search`, the target row sum
-(every hit kept there has it); the projection is linear, so each exact
-solution has matching hashes, and a hash collision fails the exact
-equality.  Every hit still passes that check and `is_canonical`.
+For each seed, a table holds the full A rows over the 2^m middles
+(m = n - 2 head_len) that pass A's own clauses and have one of the A
+sums of the run's targets, with their NAF vectors and an integer hash
+of each under a fixed linear projection, sorted by hash; B's table is
+built the same way.  For all spectrum-passing (C, D) pairs of the seed
+at once, hash(T) - hash(N_B) is looked up among A's hashes, and every
+match is confirmed by exact NAF equality.  All of a seed's hits are
+then checked together, by the identity `verify_tt` tests (weights 1, 1,
+2, 2, D padded by a trailing zero), and a failure raises.  No solution
+is lost: every canonical quadruple passes the clauses; every TT's row
+sums form a signed target, so a row whose sum no target of the run
+gives is in no quadruple the run keeps; the projection is linear, so
+each exact solution has matching hashes, and a hash collision fails the
+exact equality.  Every hit still passes that check and `is_canonical`.
 
 Tables have 2^m rows, so the join serves m <= 16 (n <= 28 at the
 default head_len).  Longer middles (m = 24 at n = 38 with its 7-wide
 boundary) are filled instead by the pairwise walk, with the remaining lag
 constraints and the canonical prefix pruning enforced; it too keeps
-every canonical completion.  Both paths emit in the walk's order.
+every canonical completion, and its output is filtered by the run's A
+and B sums as the tables are.  Both paths emit in the walk's order.
 
 `search` is the one driver.  A config with `squares` hunts one signed
-row-sum target: its seeds stream lazily in generation order, and A and
-B must hit the target's sums.  A config without `squares` sweeps every
-target (`enumerate_canonical` runs it): one C pool over every live c
-sum and one D pool over every live d sum, A and B sums left free, and
-the seeds sorted by their (C, D) bucket keys, each key a group whose
-pairs are screened once.  Either way the run is a stream of hit lists
-for (group, seed) items in order, computed in this process or in one
-pool of worker processes, and its checkpoint counts the items done in
-that order, so a sweep stops, resumes and slices like a hunt.
+row-sum target: its seeds stream lazily in generation order.  A config
+without `squares` sweeps every target (`enumerate_canonical` runs it),
+with the seeds sorted by their (C, D) bucket keys, each key a group
+whose pairs are screened once.  Either way one `_SeedWork` per process
+holds every bucket and table the run builds, and the run is a stream of
+hit lists for (group, seed) items in order, computed in this process or
+in one pool of worker processes; its checkpoint counts the items done
+in that order, so a sweep stops, resumes and slices like a hunt.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ from .enumeration import (
 from .seqs import BinarySeq, naf_rows, naf_vanishes, spectrum_nafs
 
 _SPECTRAL_TOL = 1e-6
-# Pool spectra are sampled at theta = j*pi/_GRID_POINTS, j = 1.._GRID_POINTS.
+# Bucket spectra are sampled at theta = j*pi/_GRID_POINTS, j = 1.._GRID_POINTS.
 _GRID_POINTS = 600
 _BATCH_SEEDS = 256
 _CAP_ROWS = 5_000_000
@@ -129,14 +130,14 @@ def default_head_len(n: int) -> int:
 class SearchConfig:
     """The inputs of one search run; every pruning parameter derives from them.
 
-    `squares` carries the signed row-sum targets (a, b, c, d): pools are
-    keyed by the signed sums c and d, and completed quadruples are kept
-    only when A and B hit the signed sums a and b.  It must be a signed
-    decomposition of 6n - 2 (see `decompositions`).  None, the default,
-    means every signed target: the run lists every class at length n.
-    `head_len` is the boundary width of A, B and C (default
-    `default_head_len(n)`); D's width `d_head_len` is head_len - 1 and
-    the pool bound `spectral_bound` is (6n - 2)/2, both read-only.
+    `squares` carries the signed row-sum target (a, b, c, d): the run
+    keeps only rows of A, B, C and D with the signed sums a, b, c and d.
+    It must be a signed decomposition of 6n - 2 (see `decompositions`).
+    None, the default, means every signed target: the run lists every
+    class at length n.  `head_len` is the boundary width of A, B and C
+    (default `default_head_len(n)`); D's width `d_head_len` is
+    head_len - 1 and the row bound `spectral_bound` is (6n - 2)/2, both
+    read-only.
     """
 
     n: int
@@ -290,96 +291,12 @@ def _cos_table(length: int) -> np.ndarray:
     return np.cos(np.arange(length)[:, None] * grid)
 
 
-@dataclass(frozen=True)
-class SequencePool:
-    """Clause- and spectrum-passing rows of one kind and a set of row sums, by boundary.
-
-    C rows have length n and D rows n - 1; buckets are keyed by the
-    (first, last) `bucket_len` entries, `head_len` for C and `d_head_len`
-    for D.  `buckets` maps each boundary key built so far to its bucket,
-    or to None when no row passes.  A bucket holds the rows of each of
-    `sums` extending its boundary that pass their own canonical clauses
-    (`core._clause_mask`; a canonical quadruple's C and D always do) and
-    the spectral bound (6n - 2)/2 on the fixed grid, sum by sum in
-    ascending order; within a sum, rows come in the lexicographic order
-    of their middle's -1 positions.  With each row it keeps the NAF and
-    the coarse spectrum the pair screen reads, not the full spectrum.
-    Each sum's part of a bucket may have at most `_CAP_ROWS` candidate
-    rows, counted before either filter.
-    """
-
-    kind: str
-    length: int
-    sums: tuple[int, ...]
-    bucket_len: int
-    buckets: dict
-    cfg: SearchConfig
-
-    def bucket(self, key) -> PoolBucket | None:
-        """The passing rows extending boundary `key`, built on first use."""
-        if key not in self.buckets:
-            self.buckets[key] = self._build_bucket(key)
-        return self.buckets[key]
-
-    def _build_bucket(self, key) -> PoolBucket | None:
-        # Only the middle varies.  Its combinations of -1 positions come in
-        # the lexicographic order the full-row scan has within a bucket.
-        head, tail = key
-        h = self.bucket_len
-        middle = self.length - 2 * h
-        template = np.array(head + (1,) * middle + tail, np.int8)
-        kept = []
-        for row_sum in self.sums:
-            negatives = _negatives(self.length, row_sum, self.cfg)
-            if negatives is None:
-                continue
-            negatives -= (head + tail).count(-1)
-            if not 0 <= negatives <= middle:
-                continue
-            count = math.comb(middle, negatives)
-            if count > _CAP_ROWS:
-                raise FeasibilityError(
-                    f"{self.kind} bucket {key} with sum {row_sum} has {count} "
-                    f"candidate rows (cap {_CAP_ROWS})"
-                )
-            combos = itertools.combinations(range(h, h + middle), negatives)
-            while chunk := list(itertools.islice(combos, 4096)):
-                rows = np.repeat(template[None], len(chunk), axis=0)
-                positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
-                rows[np.arange(len(chunk))[:, None], positions] = -1
-                rows = rows[_clause_mask(rows, self.kind)]
-                if not len(rows):
-                    continue
-                nafs = naf_rows(rows)
-                spectra = spectrum_nafs(self.length, nafs, _cos_table(self.length))
-                mask = spectra.max(axis=1) <= self.cfg.spectral_bound + _SPECTRAL_TOL
-                # Copies: the chunk's full spectra are freed with it.
-                kept.append((rows[mask], nafs[mask], spectra[mask, ::_COARSE_STEP]))
-        if not kept:
-            return None
-        bucket = PoolBucket(*(np.concatenate(parts) for parts in zip(*kept)))
-        return bucket if len(bucket.rows) else None
-
-
-def _negatives(length: int, row_sum: int, cfg: SearchConfig) -> int | None:
-    """-1 entries of a row with this sum; None if impossible or f(0) = sum^2 fails."""
-    negatives, rem = divmod(length - row_sum, 2)
-    if rem or not 0 <= negatives <= length or row_sum**2 > cfg.spectral_bound + _SPECTRAL_TOL:
-        return None
-    return negatives
-
-
-def _lazy_pool(kind, sums, cfg) -> SequencePool:
-    """A pool of the given row sums holding no rows yet; buckets are built on request."""
-    length, bucket_len = (cfg.n, cfg.head_len) if kind == "C" else (cfg.n - 1, cfg.d_head_len)
-    return SequencePool(kind, length, tuple(sorted(set(sums))), bucket_len, {}, cfg)
-
-
 def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
     """Stream the verified completions of the A and B middles.
 
     Every completion has A and B rows that pass their own canonical
-    clauses, so every canonical completion is among them.  C and D must
+    clauses and have row sums of a target at length n, so every
+    canonical completion is among them.  C and D must
     extend the seed's boundary entries; the caller is expected to have
     applied the pair bound f_C + f_D <= (6n - 2)/2.
     """
@@ -390,7 +307,7 @@ def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
             if row[j] != seed_row[j]:
                 raise ValueError(f"{name} boundary entry {j} differs from the seed")
     pairs = _pair_block(np.array([c.entries], np.int8), np.array([d.entries], np.int8))
-    return _completions(seed, pairs, {}, None)
+    return _SeedWork(SearchConfig(seed.n, head_len=seed.head_len))._completions(seed, pairs)
 
 
 def _fill(seed: SeedQuad, c_row, d_row):
@@ -447,87 +364,6 @@ def _pair_block(c_rows: np.ndarray, d_rows: np.ndarray, nafs=None) -> _Pairs:
     return _Pairs(c_rows, d_rows, target, target @ _hash_weights(target.shape[1]))
 
 
-def _row_table(tables: dict, boundary: tuple, head_len: int, row_sum: int | None):
-    """A (or B) rows over every middle, with NAFs, sorted by NAF hash.
-
-    Keeps the full rows extending `boundary` that pass the row's own
-    canonical clauses (`core._clause_mask`, the mask the pools use) and,
-    unless `row_sum` is None, have that sum.  Cached in `tables` per
-    (boundary, row_sum).
-    """
-    key = (boundary, row_sum)
-    if key not in tables:
-        n = len(boundary)
-        rows = np.repeat(np.array([boundary], np.int8), 1 << (n - 2 * head_len), axis=0)
-        rows[:, head_len : n - head_len] = _pm_rows(n - 2 * head_len)
-        if row_sum is not None:
-            rows = rows[rows.sum(axis=1) == row_sum]
-        rows = rows[_clause_mask(rows, "A")]
-        nafs = naf_rows(rows)
-        hashes = nafs @ _hash_weights(n - 1)
-        order = np.argsort(hashes, kind="stable")
-        tables[key] = (rows[order], nafs[order], hashes[order])
-    return tables[key]
-
-
-def _completions(seed: SeedQuad, pairs: _Pairs, tables: dict, row_sums):
-    """Verified completions of the A and B middles for each (C, D) pair.
-
-    Middles of up to `_JOIN_MAX_MIDDLE` entries are joined: hash(N_A)
-    must equal hash(T) - hash(N_B), since the projection is linear, and
-    each hash match is confirmed by exact NAF equality; then one
-    `naf_vanishes` call checks all the hits with the weights of
-    `verify_tt`, and raises if any fails.  Longer middles are walked.
-    Both paths yield in the walk's order (pair by pair), so results and
-    `stop_after` do not depend on the path.  `row_sums`, unless None,
-    keeps only completions with A's and B's target sums.
-    """
-    h = seed.head_len
-    if seed.n - 2 * h > _JOIN_MAX_MIDDLE:
-        for c_row, d_row in zip(pairs.c_rows, pairs.d_rows):
-            for quad in _fill(seed, c_row, d_row):
-                if row_sums is None or quad.row_sums()[:2] == row_sums:
-                    yield quad
-        return
-    if not len(pairs.target):
-        return
-    sum_a, sum_b = (None, None) if row_sums is None else row_sums
-    rows_a, nafs_a, hash_a = _row_table(tables, seed.a, h, sum_a)
-    rows_b, nafs_b, hash_b = _row_table(tables, seed.b, h, sum_b)
-    if not (len(hash_a) and len(hash_b)):
-        return
-    found = []
-    # Blocks of pairs keep the (pairs x B rows) lookups near a fixed size.
-    step = max(1, _JOIN_BLOCK // len(hash_b))
-    for start in range(0, len(pairs.target), step):
-        wanted = pairs.target_hash[start : start + step, None] - hash_b[None, :]
-        lo = np.searchsorted(hash_a, wanted)
-        ip, ib = np.nonzero(hash_a[np.minimum(lo, len(hash_a) - 1)] == wanted)
-        lo = lo[ip, ib]
-        counts = np.searchsorted(hash_a, wanted[ip, ib], side="right") - lo
-        # One candidate per A row in each run of equal hashes.
-        ip, ib = np.repeat(ip + start, counts), np.repeat(ib, counts)
-        ia = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
-        found.append((ip[exact], ia[exact], ib[exact]))
-    ip, ia, ib = map(np.concatenate, zip(*found))
-    if not len(ip):
-        return
-    a, b = rows_a[ia], rows_b[ib]
-    # The walk's order: pair by pair, then the middles of A and B from the
-    # outside in, +1 before -1 at each step (np.lexsort's last key leads).
-    k = np.arange(h, seed.n // 2)
-    steps = np.stack([a[:, k], a[:, -1 - k], b[:, k], b[:, -1 - k]], axis=2).reshape(len(ip), -1)
-    order = np.lexsort([*(-steps.T[::-1]), ip])
-    quads = [a[order], b[order], pairs.c_rows[ip[order]], pairs.d_rows[ip[order]]]
-    valid = naf_vanishes(quads, (1, 1, 2, 2))
-    if not valid.all():
-        bad = TurynQuad(*(BinarySeq(rows[np.argmin(valid)].tolist()) for rows in quads))
-        raise RuntimeError(f"NAF join emitted an invalid quadruple: {bad}")
-    for entries in zip(*(rows.tolist() for rows in quads)):
-        yield TurynQuad(*map(BinarySeq, entries))
-
-
 def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray, limit: float):
     """Row indices (ic, id) of the bucket pairs kept for the join, row-major, and N_C + N_D.
 
@@ -559,47 +395,178 @@ def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray
 
 
 class _SeedWork:
-    """One process's state for the hits of (group, seed) work items.
+    """One process's rows and state for the hits of (group, seed) work items.
 
-    The (c, d) targets are those of `cfg.squares`, or of every signed
-    target when it is None.  The C pool covers the c sums and the D pool
-    the d sums of the live targets, those whose rows can pass at all
-    (right parity and magnitude, f(0) = sum^2 within the bound); a pair
-    of bucket rows is joined only when its own (c, d) is one of them.
-    Buckets and A/B tables are built on demand and kept for the run; the
-    (C, D) pair cache is dropped whenever the group changes.  With
-    `cfg.squares`, only completions with its A and B sums are kept.
+    The run's targets are `cfg.squares`, or every signed target when it
+    is None.  `sums` maps each kind "A".."D" to the sorted row sums they
+    give that sequence, and `live` marks their (c, d) by (c + n, d + n).
+    Every target's rows can pass: 2c^2 <= 6n - 2 keeps c^2 within the
+    bound, and c and d have the parity of their lengths.  `store` is the
+    run's one row store: keyed by (kind, boundary), it holds the C and D
+    buckets (None when no row passes) and the A and B join tables, each
+    built on first use and kept for the run.  The (C, D) pair cache is
+    dropped whenever the group changes.
     """
 
     def __init__(self, cfg: SearchConfig):
         n = cfg.n
         targets = [cfg.squares] if cfg.squares is not None else _signed_squares(n)
-        live = {
-            (t.c, t.d)
-            for t in targets
-            if _negatives(n, t.c, cfg) is not None and _negatives(n - 1, t.d, cfg) is not None
-        }
+        self.cfg = cfg
+        self.sums = {kind: tuple(sorted({t[i] for t in targets})) for i, kind in enumerate("ABCD")}
         self.limit = cfg.spectral_bound + _SPECTRAL_TOL
-        self.row_sums = None if cfg.squares is None else cfg.squares[:2]
-        self.pool_c = _lazy_pool("C", {c for c, _ in live}, cfg)
-        self.pool_d = _lazy_pool("D", {d for _, d in live}, cfg)
         self.live = np.zeros((2 * n + 1, 2 * n + 1), bool)
-        for c, d in live:
-            self.live[c + n, d + n] = True
-        self.tables: dict = {}
+        for t in targets:
+            self.live[t.c + n, t.d + n] = True
+        self.store: dict = {}
         self.group = None
         self.pair_cache: dict = {}
 
+    def rows(self, kind: str, key):
+        """The store's entry for `kind` and boundary `key`, built on first use.
+
+        C and D are keyed by their (first, last) boundary entries, A and B
+        by the seed's row.
+        """
+        if (kind, key) not in self.store:
+            build = self._build_bucket if kind in ("C", "D") else self._build_table
+            self.store[kind, key] = build(kind, key)
+        return self.store[kind, key]
+
+    def _build_bucket(self, kind: str, key) -> PoolBucket | None:
+        """The C (length n) or D (length n - 1) rows extending `key`, or None.
+
+        Keeps the rows of each of the kind's sums that pass their own
+        canonical clauses (`core._clause_mask`; a canonical quadruple's C
+        and D always do) and the spectral bound on the fixed grid, sum by
+        sum in ascending order; within a sum, rows come in the
+        lexicographic order of their middle's -1 positions.  Each sum's
+        part may have at most `_CAP_ROWS` candidate rows, counted before
+        either filter.
+        """
+        # Only the middle varies.  Its combinations of -1 positions come in
+        # the lexicographic order the full-row scan has within a bucket.
+        head, tail = key
+        h = len(head)
+        length = self.cfg.n - (kind == "D")
+        middle = length - 2 * h
+        template = np.array(head + (1,) * middle + tail, np.int8)
+        kept = []
+        for row_sum in self.sums[kind]:
+            negatives = (length - row_sum) // 2 - (head + tail).count(-1)
+            if not 0 <= negatives <= middle:
+                continue
+            count = math.comb(middle, negatives)
+            if count > _CAP_ROWS:
+                raise FeasibilityError(
+                    f"{kind} bucket {key} with sum {row_sum} has {count} "
+                    f"candidate rows (cap {_CAP_ROWS})"
+                )
+            combos = itertools.combinations(range(h, h + middle), negatives)
+            while chunk := list(itertools.islice(combos, 4096)):
+                rows = np.repeat(template[None], len(chunk), axis=0)
+                positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
+                rows[np.arange(len(chunk))[:, None], positions] = -1
+                rows = rows[_clause_mask(rows, kind)]
+                if not len(rows):
+                    continue
+                nafs = naf_rows(rows)
+                spectra = spectrum_nafs(length, nafs, _cos_table(length))
+                mask = spectra.max(axis=1) <= self.limit
+                # Copies: the chunk's full spectra are freed with it.
+                kept.append((rows[mask], nafs[mask], spectra[mask, ::_COARSE_STEP]))
+        if not kept:
+            return None
+        bucket = PoolBucket(*(np.concatenate(parts) for parts in zip(*kept)))
+        return bucket if len(bucket.rows) else None
+
+    def _build_table(self, kind: str, boundary: tuple):
+        """A (or B) rows over every middle of the seed row `boundary`, sorted by NAF hash.
+
+        Keeps the rows that pass the row's own canonical clauses
+        (`core._clause_mask`) and have one of the kind's sums, with
+        their NAFs and hashes.
+        """
+        n, h = self.cfg.n, self.cfg.head_len
+        middles = _pm_rows(n - 2 * h)
+        # A row's sum is its boundary's (the seed row's) plus its middle's.
+        wanted = np.subtract(self.sums[kind], sum(boundary))
+        middles = middles[(middles.sum(axis=1)[:, None] == wanted).any(axis=1)]
+        rows = np.repeat(np.array([boundary], np.int8), len(middles), axis=0)
+        rows[:, h : n - h] = middles
+        rows = rows[_clause_mask(rows, kind)]
+        nafs = naf_rows(rows)
+        hashes = nafs @ _hash_weights(n - 1)
+        order = np.argsort(hashes, kind="stable")
+        return rows[order], nafs[order], hashes[order]
+
     def _pairs(self, c_key, d_key) -> _Pairs | None:
-        c_bucket = self.pool_c.bucket(c_key)
-        d_bucket = None if c_bucket is None else self.pool_d.bucket(d_key)
+        c_bucket = self.rows("C", c_key)
+        d_bucket = None if c_bucket is None else self.rows("D", d_key)
         if d_bucket is None:
             return None
         ic, id_, nafs = _spectral_pairs(c_bucket, d_bucket, self.live, self.limit)
         return _pair_block(c_bucket.rows[ic], d_bucket.rows[id_], nafs)
 
+    def _completions(self, seed: SeedQuad, pairs: _Pairs):
+        """Verified completions of the A and B middles for each (C, D) pair.
+
+        Middles of up to `_JOIN_MAX_MIDDLE` entries are joined: hash(N_A)
+        must equal hash(T) - hash(N_B), since the projection is linear, and
+        each hash match is confirmed by exact NAF equality; then one
+        `naf_vanishes` call checks all the hits with the weights of
+        `verify_tt`, and raises if any fails.  Longer middles are walked.
+        Both paths yield in the walk's order (pair by pair), so results and
+        `stop_after` do not depend on the path, and keep only A and B rows
+        of the kinds' sums: the tables hold no others.
+        """
+        h = seed.head_len
+        if seed.n - 2 * h > _JOIN_MAX_MIDDLE:
+            for c_row, d_row in zip(pairs.c_rows, pairs.d_rows):
+                for quad in _fill(seed, c_row, d_row):
+                    sum_a, sum_b = quad.row_sums()[:2]
+                    if sum_a in self.sums["A"] and sum_b in self.sums["B"]:
+                        yield quad
+            return
+        if not len(pairs.target):
+            return
+        rows_a, nafs_a, hash_a = self.rows("A", seed.a)
+        rows_b, nafs_b, hash_b = self.rows("B", seed.b)
+        if not (len(hash_a) and len(hash_b)):
+            return
+        found = []
+        # Blocks of pairs keep the (pairs x B rows) lookups near a fixed size.
+        step = max(1, _JOIN_BLOCK // len(hash_b))
+        for start in range(0, len(pairs.target), step):
+            wanted = pairs.target_hash[start : start + step, None] - hash_b[None, :]
+            lo = np.searchsorted(hash_a, wanted)
+            ip, ib = np.nonzero(hash_a[np.minimum(lo, len(hash_a) - 1)] == wanted)
+            lo = lo[ip, ib]
+            counts = np.searchsorted(hash_a, wanted[ip, ib], side="right") - lo
+            # One candidate per A row in each run of equal hashes.
+            ip, ib = np.repeat(ip + start, counts), np.repeat(ib, counts)
+            ia = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
+            found.append((ip[exact], ia[exact], ib[exact]))
+        ip, ia, ib = map(np.concatenate, zip(*found))
+        if not len(ip):
+            return
+        a, b = rows_a[ia], rows_b[ib]
+        # The walk's order: pair by pair, then the middles of A and B from the
+        # outside in, +1 before -1 at each step (np.lexsort's last key leads).
+        k = np.arange(h, seed.n // 2)
+        steps = np.stack([a[:, k], a[:, -1 - k], b[:, k], b[:, -1 - k]], axis=2)
+        steps = steps.reshape(len(ip), -1)
+        order = np.lexsort([*(-steps.T[::-1]), ip])
+        quads = [a[order], b[order], pairs.c_rows[ip[order]], pairs.d_rows[ip[order]]]
+        valid = naf_vanishes(quads, (1, 1, 2, 2))
+        if not valid.all():
+            bad = TurynQuad(*(BinarySeq(rows[np.argmin(valid)].tolist()) for rows in quads))
+            raise RuntimeError(f"NAF join emitted an invalid quadruple: {bad}")
+        for entries in zip(*(rows.tolist() for rows in quads)):
+            yield TurynQuad(*map(BinarySeq, entries))
+
     def hits(self, item) -> list[str]:
-        """Compact codes of all canonical hits for one seed, in pool order."""
+        """Compact codes of all canonical hits for one seed, in bucket order."""
         group, seed = item
         if group != self.group:
             self.group, self.pair_cache = group, {}
@@ -611,7 +578,7 @@ class _SeedWork:
             return []
         return [
             encode(quad, form="compact")
-            for quad in _completions(seed, pairs, self.tables, self.row_sums)
+            for quad in self._completions(seed, pairs)
             if is_canonical(quad)
         ]
 
@@ -707,34 +674,36 @@ def search(
     holds every class at length n.  Seeds are processed one at a time,
     so `cfg.stop_after` ends the run at the seed that yields the last
     hit wanted.  New hits are appended to `results_path` in listing
-    format, in the order found.  With `checkpoint_path` the run records
-    progress after every 256 seeds, at each seed with a new hit and at
-    the end, always after the hits it covers are written; a later call
-    resumes where it stopped (the checkpoint is bound to the config
-    hash, and a resume with `results_path` needs that file, which holds
-    the hits found so far).  `max_seeds_per_run` caps how many seeds
-    this call processes, leaving the rest for a resumed call.
+    format, in the order found.  With `checkpoint_path`, which needs
+    `results_path`, the run records progress after every 256 seeds, at
+    each seed with a new hit and at the end, always after the hits it
+    covers are written; a later call resumes where it stopped (the
+    checkpoint is bound to the config hash, and the resume needs the
+    results file, which holds the hits found so far).
+    `max_seeds_per_run` caps how many seeds this call processes, leaving
+    the rest for a resumed call.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if checkpoint_path and not results_path:
+        raise ValueError("a checkpointed search needs a results path, which holds its hits")
     found: dict[str, None] = {}
     start = 0
     done = False
     resuming = bool(checkpoint_path) and os.path.exists(checkpoint_path)
     if resuming:
         start, done = _read_checkpoint(checkpoint_path, cfg)
-        if results_path:
-            try:
-                text = Path(results_path).read_text()
-            except FileNotFoundError:
-                raise CheckpointError(
-                    f"checkpoint {checkpoint_path} covers hits of results file "
-                    f"{results_path}, which is missing"
-                ) from None
-            for _, code in read_listing(text):
-                found[code] = None
+        try:
+            text = Path(results_path).read_text()
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"checkpoint {checkpoint_path} covers hits of results file "
+                f"{results_path}, which is missing"
+            ) from None
+        for _, code in read_listing(text):
+            found[code] = None
     if done:
-        # A finished run needs no pools.
+        # A finished run builds no rows.
         return ClassListing(cfg.n, tuple(sorted(found)))
     if results_path and not resuming:
         Path(results_path).write_text(write_listing([], header=f"search {cfg.describe()}"))

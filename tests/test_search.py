@@ -1,4 +1,4 @@
-"""Tests for the two-phase search: seeds, pools, fill-in, orchestration."""
+"""Tests for the two-phase search: seeds, row store, fill-in, orchestration."""
 
 import dataclasses
 import hashlib
@@ -29,8 +29,14 @@ from conftest import (
     seed_lag_sum,
 )
 from turynseq.codec import decode, encode
-from turynseq.core import TurynQuad, _c_clause, _d_clause, is_canonical, verify_tt
-from turynseq.enumeration import Decomposition, FeasibilityError, enumerate_canonical
+from turynseq.core import TurynQuad, _ab_clause, _c_clause, _d_clause, is_canonical, verify_tt
+from turynseq.enumeration import (
+    Decomposition,
+    FeasibilityError,
+    _pm_rows,
+    decompositions,
+    enumerate_canonical,
+)
 from turynseq.search import (
     CheckpointError,
     SearchConfig,
@@ -59,16 +65,24 @@ def sweep(n: int, **kw):
     return search(SearchConfig(n=n), **kw)
 
 
-def every_bucket(pool) -> dict:
-    """Build every bucket of a lazy pool; returns the non-empty ones by key."""
-    boundary = list(itertools.product((1, -1), repeat=pool.bucket_len))
-    for key in itertools.product(boundary, repeat=2):
-        pool.bucket(key)
-    return {key: bucket for key, bucket in pool.buckets.items() if bucket is not None}
+def every_bucket(work, kind: str) -> dict:
+    """Build every C or D bucket of a run's row store; returns the non-empty ones by key."""
+    h = work.cfg.head_len if kind == "C" else work.cfg.d_head_len
+    boundary = list(itertools.product((1, -1), repeat=h))
+    buckets = {key: work.rows(kind, key) for key in itertools.product(boundary, repeat=2)}
+    return {key: bucket for key, bucket in buckets.items() if bucket is not None}
 
 
-def pool_rows(pool) -> int:
-    return sum(len(bucket.rows) for bucket in every_bucket(pool).values())
+def bucket_rows(work, kind: str) -> int:
+    return sum(len(bucket.rows) for bucket in every_bucket(work, kind).values())
+
+
+def one_sum_work(n: int, kind: str, row_sum: int):
+    """A hunt's row store whose `kind` rows have the one sum `row_sum`."""
+    squares = next(sq for sq in SIGNED_SQUARES(n) if sq["ABCD".index(kind)] == row_sum)
+    work = search_module._SeedWork(SearchConfig(n=n, squares=squares))
+    assert work.sums[kind] == (row_sum,)
+    return work
 
 
 def spectral_full_rows(length: int, h: int, row_sum: int, cfg: SearchConfig) -> dict:
@@ -256,11 +270,10 @@ class TestGenerateSeeds:
 
 
 class TestBuildPool:
-    """Buckets of lazy pools, built one boundary at a time as `search` builds them."""
+    """C and D buckets of a run's row store, built one boundary at a time as `search` does."""
 
     def test_matches_brute_filter_n10(self):
-        cfg = cfg10()
-        pool = search_module._lazy_pool("C", (0,), cfg)
+        work = one_sum_work(10, "C", 0)
         # Independent filter: every +-1 row of length 10 with zero sum
         # that passes C's own canonical clause and whose spectrum stays
         # within the bound on the whole grid.
@@ -271,44 +284,59 @@ class TestBuildPool:
             if sum(bits) != 0 or not _c_clause(bits):
                 continue
             seq = BinarySeq(bits)
-            if all(spectrum_value(seq, t) <= cfg.spectral_bound + 1e-6 for t in thetas):
+            if all(spectrum_value(seq, t) <= work.cfg.spectral_bound + 1e-6 for t in thetas):
                 expected.add(bits)
         pooled = set()
-        for bucket in every_bucket(pool).values():
+        for bucket in every_bucket(work, "C").values():
             for row in bucket.rows:
                 pooled.add(tuple(int(v) for v in row))
         assert pooled == expected
-        assert pool_rows(pool) == len(expected)
+        assert bucket_rows(work, "C") == len(expected)
 
     def test_bucket_membership_is_partition(self):
-        pool = search_module._lazy_pool("C", (2,), cfg10())
+        work = search_module._SeedWork(cfg10())
+        assert work.sums["C"] == (2,)
         seen = set()
-        for (head, tail), bucket in every_bucket(pool).items():
-            assert len(head) == len(tail) == pool.bucket_len
+        for (head, tail), bucket in every_bucket(work, "C").items():
+            assert len(head) == len(tail) == work.cfg.head_len
             for row in bucket.rows:
                 key = tuple(int(v) for v in row)
                 assert key not in seen
                 seen.add(key)
+                assert sum(key) == 2
                 assert tuple(key[:2]) == head
                 assert tuple(key[-2:]) == tail
-        assert seen and len(seen) == pool_rows(pool)
+        assert seen and len(seen) == bucket_rows(work, "C")
 
     def test_sum_square_above_bound_gives_empty_pool(self):
-        # f(0) = (row sum)^2, so target 6 with bound 29 is impossible.
-        assert every_bucket(search_module._lazy_pool("C", (6,), cfg10())) == {}
+        # f(0) = (row sum)^2, so a row of sum 6 fails the bound 29 at
+        # n=10.  No target gives such a sum: 2c^2 <= 6n - 2 keeps every
+        # target's c^2 and d^2 within (6n - 2)/2, so the store never
+        # enumerates a sum whose rows all fail.
+        for n in range(4, 41, 2):
+            work = search_module._SeedWork(SearchConfig(n=n))
+            for kind in "CD":
+                assert all(s * s <= work.cfg.spectral_bound for s in work.sums[kind]), n
+        assert search_module._SeedWork(SearchConfig(n=10)).sums["C"] == (-4, -2, 0, 2, 4)
 
     def test_parity_mismatch_gives_empty_pool(self):
-        assert every_bucket(search_module._lazy_pool("C", (3,), cfg10())) == {}
-        assert every_bucket(search_module._lazy_pool("D", (2,), cfg10())) == {}
+        # C rows of length n have sums of n's parity and D rows of length
+        # n - 1 sums of the other; every target's c and d have them.
+        for n in range(4, 41, 2):
+            work = search_module._SeedWork(SearchConfig(n=n))
+            assert all(c % 2 == 0 and abs(c) <= n for c in work.sums["C"]), n
+            assert all(d % 2 == 1 and abs(d) <= n - 1 for d in work.sums["D"]), n
+        work = search_module._SeedWork(SearchConfig(n=10))
+        assert 3 not in work.sums["C"] and 2 not in work.sums["D"]
 
     def test_d_pool_uses_d_head_len_buckets(self):
-        pool = search_module._lazy_pool("D", (5,), cfg10())
-        assert pool.length == 9
-        assert pool.bucket_len == 1
-        buckets = every_bucket(pool)
+        work = search_module._SeedWork(cfg10())
+        assert work.sums["D"] == (5,)
+        buckets = every_bucket(work, "D")
         assert buckets
-        for head, tail in buckets:
+        for (head, tail), bucket in buckets.items():
             assert len(head) == len(tail) == 1
+            assert bucket.rows.shape[1] == 9
 
     def test_row_cap_refusal(self, monkeypatch):
         # The D bucket of sum -3 at n=38 whose 25-entry middle has 12 of
@@ -319,41 +347,41 @@ class TestBuildPool:
             raise AssertionError("a refused bucket must build no rows")
 
         monkeypatch.setattr(search_module, "_clause_mask", no_rows)
-        cfg = SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3))
-        pool = search_module._lazy_pool("D", (-3,), cfg)
+        work = search_module._SeedWork(SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3)))
         key = ((1, -1, -1, -1, -1, 1), (-1, -1, -1, -1, 1, 1))
         with pytest.raises(FeasibilityError) as exc:
-            pool.bucket(key)
+            work.rows("D", key)
         assert str(exc.value) == (
             f"D bucket {key} with sum -3 has 5200300 candidate rows (cap 5000000)"
         )
+        assert work.store == {}
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_lazy_buckets_equal_filtered_full_rows(self, n):
         # Expected buckets come from scanning every full row of the sum in
         # combinations order, with spectra from an FFT on the same grid,
         # and keeping those that pass the row's own canonical clause; a
-        # bucket keeps every 16th grid point and the rows' NAFs.  A pool
-        # over every sum then holds, per boundary, the one-sum buckets
-        # concatenated in ascending order of sum.
-        cfg = SearchConfig(n=n)  # pools depend on n and the widths only
+        # bucket keeps every 16th grid point and the rows' NAFs.  Each
+        # sum the sweep's targets give C or D is checked in a hunt whose
+        # target gives that sum alone; the sweep's bucket then holds, per
+        # boundary, the one-sum buckets concatenated in ascending order.
+        sweep_work = search_module._SeedWork(SearchConfig(n=n))
         for kind, length, h, clause in (
-            ("C", n, cfg.head_len, _c_clause),
-            ("D", n - 1, cfg.d_head_len, _d_clause),
+            ("C", n, sweep_work.cfg.head_len, _c_clause),
+            ("D", n - 1, sweep_work.cfg.d_head_len, _d_clause),
         ):
             boundary = list(itertools.product((1, -1), repeat=h))
-            sums = range(-length, length + 1, 2)
-            one_sum_pools = []
-            for target_sum in sums:
+            one_sum_works = []
+            for target_sum in sweep_work.sums[kind]:
                 expected = {}
-                for key, found in spectral_full_rows(length, h, target_sum, cfg).items():
+                for key, found in spectral_full_rows(length, h, target_sum, sweep_work.cfg).items():
                     kept = [entry for entry in found if clause(tuple(entry[0].tolist()))]
                     if kept:
                         expected[key] = kept
-                pool = search_module._lazy_pool(kind, (target_sum,), cfg)
-                one_sum_pools.append(pool)
+                work = one_sum_work(n, kind, target_sum)
+                one_sum_works.append(work)
                 for key in itertools.product(boundary, repeat=2):
-                    bucket = pool.bucket(key)
+                    bucket = work.rows(kind, key)
                     if key not in expected:
                         assert bucket is None, (kind, target_sum, key)
                         continue
@@ -365,13 +393,12 @@ class TestBuildPool:
                     nafs = [np.correlate(row, row, "full")[length:] for row in rows]
                     assert bucket.nafs.dtype == np.int16
                     assert np.array_equal(bucket.nafs, np.array(nafs))
-                assert pool_rows(pool) == sum(map(len, expected.values()))
-            every_sum = search_module._lazy_pool(kind, reversed(sums), cfg)
-            assert every_sum.sums == tuple(sums)
+                assert bucket_rows(work, kind) == sum(map(len, expected.values()))
+            assert sweep_work.sums[kind] == tuple(sorted(sweep_work.sums[kind]))
             for key in itertools.product(boundary, repeat=2):
-                parts = [pool.buckets[key] for pool in one_sum_pools]
+                parts = [work.store[kind, key] for work in one_sum_works]
                 parts = [part for part in parts if part is not None]
-                bucket = every_sum.bucket(key)
+                bucket = sweep_work.rows(kind, key)
                 if not parts:
                     assert bucket is None, (kind, key)
                     continue
@@ -391,12 +418,12 @@ class TestBuildPool:
         quad = tt38_quad()
         seed = SeedQuad.from_quad(quad, cfg.head_len)
         work = search_module._SeedWork(cfg)
-        for pool, key, row, count in (
-            (work.pool_c, seed.c_bucket_key(), quad.c, 168_879),
-            (work.pool_d, seed.d_bucket_key(), quad.d, 232_490),
+        for kind, key, row, count in (
+            ("C", seed.c_bucket_key(), quad.c, 168_879),
+            ("D", seed.d_bucket_key(), quad.d, 232_490),
         ):
-            bucket = pool.bucket(key)
-            length = pool.length
+            bucket = work.rows(kind, key)
+            length = len(row)
             assert len(bucket.rows) == count
             assert np.all(bucket.rows == np.array(row.entries), axis=1).any()
             assert bucket.nbytes == count * (length + 2 * (length - 1) + 38 * 8)
@@ -404,20 +431,63 @@ class TestBuildPool:
     def test_bucket_row_cap_refusal(self, monkeypatch):
         # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates.
         monkeypatch.setattr(search_module, "_CAP_ROWS", 5)
-        pool = search_module._lazy_pool("C", (2,), cfg10())
+        work = search_module._SeedWork(cfg10())
         with pytest.raises(FeasibilityError, match="15 candidate rows .cap 5."):
-            pool.bucket(((1, 1), (1, 1)))
+            work.rows("C", ((1, 1), (1, 1)))
 
     def test_bucket_row_cap_guards_each_sum_apart(self, monkeypatch):
-        # Same middle: sum 0 has comb(6, 5) = 6 candidates and sum -2 has
-        # 1.  Their 7 pass a cap of 6, since each sum's part is capped alone.
-        monkeypatch.setattr(search_module, "_CAP_ROWS", 6)
-        pool = search_module._lazy_pool("C", (0, -2), cfg10())
-        assert len(pool.bucket(((1, 1), (1, 1))).rows) <= 7
-        monkeypatch.setattr(search_module, "_CAP_ROWS", 14)
-        pool = search_module._lazy_pool("C", (0, 2), cfg10())
-        with pytest.raises(FeasibilityError, match="with sum 2 has 15 candidate rows"):
-            pool.bucket(((1, 1), (1, 1)))
+        # The same middle in the sweep: sums -2, 0, 2 and 4 have 1, 6, 15
+        # and 20 candidates (sum -4 would need 7 of the 6 entries).  Their
+        # 42 pass a cap of 20, since each sum's part is capped alone.
+        key = ((1, 1), (1, 1))
+        monkeypatch.setattr(search_module, "_CAP_ROWS", 20)
+        assert len(search_module._SeedWork(SearchConfig(n=10)).rows("C", key).rows) <= 42
+        monkeypatch.setattr(search_module, "_CAP_ROWS", 19)
+        with pytest.raises(FeasibilityError, match="with sum 4 has 20 candidate rows"):
+            search_module._SeedWork(SearchConfig(n=10)).rows("C", key)
+
+
+class TestJoinTables:
+    @pytest.mark.parametrize(
+        "cfg",
+        [SearchConfig(n=10), SearchConfig(n=10, squares=Decomposition(2, -2, 4, 3))]
+        + [SearchConfig(n=12), SearchConfig(n=12, squares=Decomposition(4, -2, 4, 3))],
+        ids=["sweep10", "hunt10", "sweep12", "hunt12"],
+    )
+    def test_tables_equal_brute_filter(self, cfg):
+        # For every A and B boundary the seeds name, the table holds
+        # exactly the full rows extending it that pass the scalar clause
+        # and have a sum the run's targets give that row, each with its
+        # NAF, sorted by hash.  A sweep's sums are every signed a and b of
+        # the decompositions; a hunt's are its own a and b.
+        n, h = cfg.n, cfg.head_len
+        if cfg.squares is None:
+            sums_a = sums_b = {s * v for sq in decompositions(n) for v in sq[:2] for s in (1, -1)}
+        else:
+            sums_a, sums_b = {cfg.squares.a}, {cfg.squares.b}
+        work = search_module._SeedWork(cfg)
+        all_rows = _pm_rows(n)
+        weights = search_module._hash_weights(n - 1)
+        compared = 0
+        for seed in generate_seeds(cfg):
+            for kind, boundary, sums in (("A", seed.a, sums_a), ("B", seed.b, sums_b)):
+                rows, nafs, hashes = work.rows(kind, boundary)
+                expected = {
+                    tuple(row)
+                    for row in all_rows.tolist()
+                    if row[:h] == list(boundary[:h])
+                    and row[n - h :] == list(boundary[n - h :])
+                    and sum(row) in sums
+                    and _ab_clause(row)
+                }
+                assert {tuple(row) for row in rows.tolist()} == expected
+                assert len(rows) == len(expected)
+                correlations = [np.correlate(row, row, "full")[n:] for row in rows]
+                assert np.array_equal(nafs, np.array(correlations).reshape(len(rows), n - 1))
+                assert np.array_equal(hashes, nafs @ weights)
+                assert np.all(np.diff(hashes) >= 0)
+                compared += len(rows)
+        assert compared
 
 
 class TestSpectralSoundness:
@@ -440,7 +510,7 @@ class TestSpectralSoundness:
 
     def test_valid_members_never_pruned(self, reference_codes):
         # Nonnegativity of each spectrum plus the identity caps every
-        # f_C and f_C + f_D by (6n-2)/2, so the pool filters are sound.
+        # f_C and f_C + f_D by (6n-2)/2, so the bucket filters are sound.
         rng = random.Random(11)
         bound = 29.0
         for code in reference_codes[10]:
@@ -505,7 +575,8 @@ class TestJoin:
         seed = SeedQuad.from_quad(quad, head_len)
         c_rows, d_rows = (np.array([row.entries], np.int8) for row in (quad.c, quad.d))
         pairs = search_module._pair_block(c_rows, d_rows)
-        joined = list(search_module._completions(seed, pairs, {}, None))
+        work = search_module._SeedWork(SearchConfig(n=n, head_len=head_len))
+        joined = list(work._completions(seed, pairs))
         walked = list(search_module._fill(seed, quad.c.entries, quad.d.entries))
         assert quad in joined
         assert joined == walked
@@ -514,8 +585,9 @@ class TestJoin:
         # Results files and stop_after follow the emission order, so the
         # join must emit in the walk's order across all pairs of a seed.
         # The C and D rows are every spectrum-passing full row of each
-        # bucket key, including those the pools drop by their clauses.
+        # bucket key, including those the buckets drop by their clauses.
         cfg = cfg10()
+        work = search_module._SeedWork(SearchConfig(n=10))
         seeds = list(generate_seeds(cfg))
         compared = 0
         for c_sum, d_sum in sorted({(sq.c, sq.d) for sq in SIGNED_SQUARES(10)}):
@@ -531,7 +603,7 @@ class TestJoin:
                 c_rows = np.repeat(c_full_rows, len(d_full_rows), axis=0)
                 d_rows = np.tile(d_full_rows, (len(c_full_rows), 1))
                 pairs = search_module._pair_block(c_rows, d_rows)
-                joined = list(search_module._completions(seed, pairs, {}, None))
+                joined = list(work._completions(seed, pairs))
                 walked = [
                     quad
                     for c_row, d_row in zip(c_rows, d_rows)
@@ -544,19 +616,19 @@ class TestJoin:
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_sweep_joins_only_canonical_quadruples(self, n, monkeypatch):
-        # Pools and A/B tables drop every row that fails its own clause,
+        # Buckets and A/B tables drop every row that fails its own clause,
         # and the seeds settle clause (vi), so every completion the sweep
-        # joins is canonical: as many as the listing has classes.  Pools
+        # joins is canonical: as many as the listing has classes.  Buckets
         # that kept those rows made 116 completions at n=10 and 191 at 12.
         joined = []
-        real_completions = search_module._completions
+        real_completions = search_module._SeedWork._completions
 
         def recording(*args):
             for quad in real_completions(*args):
                 joined.append(quad)
                 yield quad
 
-        monkeypatch.setattr(search_module, "_completions", recording)
+        monkeypatch.setattr(search_module._SeedWork, "_completions", recording)
         assert len(sweep(n)) == REFERENCE_COUNTS[n]
         assert len(joined) == REFERENCE_COUNTS[n]
         assert all(is_canonical(quad) for quad in joined)
@@ -605,8 +677,8 @@ class TestPairScreen:
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("n", [10, 12])
     def test_equals_per_row_loop_on_every_bucket_pair(self, n, block, monkeypatch):
-        # The sweep's pools hold every live sum; a one-target search's hold
-        # one.  In both, the screen keeps exactly the pairs the full-grid
+        # The sweep's buckets hold every target's sum; a one-target
+        # search's hold one.  In both, the screen keeps exactly the pairs the full-grid
         # per-row loop keeps among those with a live (c, d), in its order.
         # Blocks of 7 pairs split bucket pairs and C rows at odd places.
         if block is not None:
@@ -622,8 +694,8 @@ class TestPairScreen:
         ]
         compared = kept = 0
         for work in works:
-            for c_bucket in every_bucket(work.pool_c).values():
-                for d_bucket in every_bucket(work.pool_d).values():
+            for c_bucket in every_bucket(work, "C").values():
+                for d_bucket in every_bucket(work, "D").values():
                     ic, id_ = per_row_pairs(c_bucket, d_bucket, limit, grid)
                     sums_c = c_bucket.rows.sum(axis=1)[ic] + n
                     sums_d = d_bucket.rows.sum(axis=1)[id_] + n
@@ -644,14 +716,15 @@ class TestPairScreen:
         # n=12 has 72 seeds naming 24 (C, D) bucket pairs; a pass per
         # target made 864 joins and 288 pair blocks.
         calls = {"_completions": 0, "_pair_block": 0}
-        for name in calls:
-            real = getattr(search_module, name)
+        owners = {"_completions": search_module._SeedWork, "_pair_block": search_module}
+        for name, owner in owners.items():
+            real = getattr(owner, name)
 
             def counting(*args, name=name, real=real):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(search_module, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         assert len(sweep(12)) == 127
         assert calls["_completions"] <= 72
         assert calls["_pair_block"] <= 24
@@ -706,7 +779,8 @@ class TestSearch:
 
     def test_checkpoint_is_not_rewritten_after_every_seed(self, tmp_path, monkeypatch):
         # Hits not yet saved once kept every later seed saving when there
-        # was no results file: 1,483 writes for 1,546 seeds, against 24.
+        # was no results file (1,483 writes for 1,546 seeds, against 24);
+        # a checkpoint now needs a results file.
         writes = []
         real_write = search_module._write_checkpoint
 
@@ -716,15 +790,10 @@ class TestSearch:
 
         monkeypatch.setattr(search_module, "_write_checkpoint", counting)
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
-        counts = {}
-        for results in (None, "results.txt"):
-            writes.clear()
-            ck = tmp_path / f"{results}.ckpt"
-            results_path = None if results is None else str(tmp_path / results)
-            assert len(search(cfg, checkpoint_path=str(ck), results_path=results_path)) == 17
-            assert writes[-1] == 1546
-            counts[results] = len(writes)
-        assert counts == {None: 24, "results.txt": 24}
+        ck, rs = tmp_path / "checkpoint.txt", tmp_path / "results.txt"
+        assert len(search(cfg, checkpoint_path=str(ck), results_path=str(rs))) == 17
+        assert writes[-1] == 1546
+        assert len(writes) == 24
 
     def test_resume_of_finished_run_builds_no_pool(self, tmp_path, monkeypatch):
         cfg = cfg10()
@@ -733,10 +802,10 @@ class TestSearch:
         first = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
         assert "done=1" in ck.read_text()
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a finished run must not build pools")
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a finished run must build no rows")
 
-        monkeypatch.setattr(search_module.SequencePool, "_build_bucket", no_pool)
+        monkeypatch.setattr(search_module._SeedWork, "rows", no_rows)
         again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
         assert first
         assert again == first
@@ -756,7 +825,7 @@ class TestSearch:
         monkeypatch.setattr(search_module, "generate_seeds", counting)
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3), stop_after=1)
         ck = tmp_path / "checkpoint.txt"
-        hits = search(cfg, checkpoint_path=str(ck))
+        hits = search(cfg, checkpoint_path=str(ck), results_path=str(tmp_path / "results.txt"))
         assert len(hits) == 1
         fields = checkpoint_fields(ck)
         assert fields["done"] == "1"
@@ -773,14 +842,15 @@ class TestSearch:
                 yield seed
 
         built = []
-        real_build = search_module.SequencePool._build_bucket
+        for name in ("_build_bucket", "_build_table"):
+            real_build = getattr(search_module._SeedWork, name)
 
-        def counting(pool, key):
-            built.append((pool.kind, key))
-            return real_build(pool, key)
+            def counting(work, kind, key, real_build=real_build):
+                built.append((kind, key))
+                return real_build(work, kind, key)
 
+            monkeypatch.setattr(search_module._SeedWork, name, counting)
         monkeypatch.setattr(search_module, "generate_seeds", recording)
-        monkeypatch.setattr(search_module.SequencePool, "_build_bucket", counting)
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3), stop_after=1)
         assert len(search(cfg)) == 1
         c_keys = {seed.c_bucket_key() for seed in pulled}
@@ -788,6 +858,8 @@ class TestSearch:
         assert len(built) == len(set(built))
         assert {key for kind, key in built if kind == "C"} <= c_keys
         assert {key for kind, key in built if kind == "D"} <= d_keys
+        assert {key for kind, key in built if kind == "A"} <= {seed.a for seed in pulled}
+        assert {key for kind, key in built if kind == "B"} <= {seed.b for seed in pulled}
         # 65 seeds name 6 of the 235 non-empty C buckets and 3 of the 61 D.
         assert (len(c_keys), len(d_keys)) == (6, 3)
 
@@ -795,8 +867,9 @@ class TestSearch:
         # The whole C pool of sum 8 at n=28 has comb(28, 10) = 13,123,110
         # candidate rows; one bucket's middle has at most comb(16, 8).
         cfg = SearchConfig(n=28, squares=Decomposition(4, 2, 8, -3))
-        ck = tmp_path / "checkpoint.txt"
-        assert search(cfg, checkpoint_path=str(ck), max_seeds_per_run=8).codes == ()
+        ck, rs = tmp_path / "checkpoint.txt", tmp_path / "results.txt"
+        listing = search(cfg, checkpoint_path=str(ck), results_path=str(rs), max_seeds_per_run=8)
+        assert listing.codes == ()
         assert checkpoint_fields(ck) == {
             "config": cfg.run_hash(),
             "seed_index": "8",
@@ -804,21 +877,31 @@ class TestSearch:
         }
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
-        ck = tmp_path / "checkpoint.txt"
-        search(cfg10(), checkpoint_path=str(ck), max_seeds_per_run=2)
+        ck, rs = tmp_path / "checkpoint.txt", tmp_path / "results.txt"
+        search(cfg10(), checkpoint_path=str(ck), results_path=str(rs), max_seeds_per_run=2)
         with pytest.raises(CheckpointError, match="config"):
             search(
-                cfg10(squares=Decomposition(2, 2, 0, 5)), checkpoint_path=str(ck)
+                cfg10(squares=Decomposition(2, 2, 0, 5)),
+                checkpoint_path=str(ck),
+                results_path=str(rs),
             )
 
     def test_resume_refused_when_results_file_is_gone(self, tmp_path):
         # The results file holds the hits found before the stop; resuming
         # without it once finished with 2 of the 4 hits and marked done.
+        # A checkpoint without any results path is refused up front: an
+        # n=12 sweep sliced at 30 seeds once resumed to 40, then 87, then
+        # 0 of its 127 classes.
         ck = tmp_path / "checkpoint.txt"
         rs = tmp_path / "results.txt"
+        with pytest.raises(ValueError, match="needs a results path"):
+            search(cfg10(), checkpoint_path=str(ck), max_seeds_per_run=2)
+        assert not ck.exists()
         search(cfg10(), checkpoint_path=str(ck), results_path=str(rs), max_seeds_per_run=2)
         before = ck.read_text()
         assert len(search_module.read_listing(rs.read_text())) == 2
+        with pytest.raises(ValueError, match="needs a results path"):
+            search(cfg10(), checkpoint_path=str(ck))
         rs.unlink()
         with pytest.raises(CheckpointError, match="missing"):
             search(cfg10(), checkpoint_path=str(ck), results_path=str(rs))
@@ -826,13 +909,13 @@ class TestSearch:
         assert not rs.exists()
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
-        ck = tmp_path / "checkpoint.txt"
+        ck, rs = tmp_path / "checkpoint.txt", str(tmp_path / "results.txt")
         ck.write_text("config=abc\nseed_index=not_a_number\ndone=0\n")
         with pytest.raises(CheckpointError):
-            search(cfg10(), checkpoint_path=str(ck))
+            search(cfg10(), checkpoint_path=str(ck), results_path=rs)
         ck.write_text("seed_index=3\n")
         with pytest.raises(CheckpointError):
-            search(cfg10(), checkpoint_path=str(ck))
+            search(cfg10(), checkpoint_path=str(ck), results_path=rs)
 
 
 class TestKillAndResume:
