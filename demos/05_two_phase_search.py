@@ -43,16 +43,19 @@ print("boundary seeds:", len(seeds))
 # no row of a canonical quadruple is ever filtered out.  A pool is
 # bucketed by the boundary entries of its rows, and a search builds a
 # bucket, from its middle entries alone, when a seed first names it.
-c_keys = {seed.c_bucket_key() for seed in seeds}
-d_keys = {seed.d_bucket_key() for seed in seeds}
+# `seed.key(kind)` gives a row's (first, last) boundary entries, the key
+# of its bucket (C, D) or of its join table (A, B).
+c_keys = {seed.key("C") for seed in seeds}
+d_keys = {seed.key("D") for seed in seeds}
 print("seeds name", len(c_keys), "C buckets and", len(d_keys), "D buckets")
 
 # The search joins seeds with pool rows matching their boundaries,
 # keeps (C, D) pairs with f_C + f_D below the bound, and completes the
 # A and B middles: with C and D fixed, A and B must satisfy
 # N_A + N_B = -2 (N_C + N_D) at every lag, a lookup between a table of
-# A rows and a table of B rows.  Results are canonical representatives,
-# listed by their compact codes.
+# A rows and a table of B rows, each keyed by its boundary; A and B
+# share one table when their sums match, as here (a = b = 0).  Results
+# are canonical representatives, listed by their compact codes.
 hits = search(cfg)
 print("\nfound", len(hits), "classes with row sums (0, 0, 2, 5):")
 for code in hits.codes:

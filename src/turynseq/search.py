@@ -44,12 +44,13 @@ fixed, A and B are independent: the quadruple is valid exactly when
 
     N_A(s) + N_B(s) = T(s) = -2 (N_C(s) + N_D(s))   for s = 1..n-1.
 
-For each seed, a table holds the full A rows over the 2^m middles
+For each A boundary, a table holds the full A rows over the 2^m middles
 (m = n - 2 head_len) that pass A's own clauses and have one of the A
 sums of the run's targets, with their NAF vectors and an integer hash
-of each under a fixed linear projection, sorted by hash; B's table is
-built the same way.  For all spectrum-passing (C, D) pairs of the seed
-at once, hash(T) - hash(N_B) is looked up among A's hashes, and every
+of each under a fixed linear projection, sorted by hash; B's tables are
+built the same way, and A and B share them when their sums match.
+For all spectrum-passing (C, D) pairs of the seed at once,
+hash(T) - hash(N_B) is looked up among A's hashes, and every
 match is confirmed by exact NAF equality.  All of a seed's hits are
 then checked together, by the identity `verify_tt` tests (weights 1, 1,
 2, 2, D padded by a trailing zero), and a failure raises.  No solution
@@ -213,14 +214,14 @@ class SeedQuad:
             raise ValueError("seed rows must have lengths (n, n, n, n-1)")
         if not 1 <= self.head_len < n / 2:
             raise ValueError(f"seed head_len must be in [1, n/2), got {self.head_len}")
-        for row, h, length in (
-            (self.a, self.head_len, n),
-            (self.b, self.head_len, n),
-            (self.c, self.head_len, n),
-            (self.d, self.d_head_len, n - 1),
-        ):
+        widths = (self.head_len,) * 3 + (self.d_head_len,)
+        for row, h in zip((self.a, self.b, self.c, self.d), widths):
+            tail = len(row) - h
+            # Whole slices first; the walk below only names the first bad entry.
+            if {*row[:h], *row[tail:]} <= {1, -1} and row[h:tail].count(0) == tail - h:
+                continue
             for j, v in enumerate(row):
-                boundary = j < h or j >= length - h
+                boundary = j < h or j >= tail
                 if boundary and v not in (-1, 1):
                     raise ValueError(f"boundary entry {j} must be +-1, got {v}")
                 if not boundary and v != 0:
@@ -243,13 +244,11 @@ class SeedQuad:
         rows = (quad.a, quad.b, quad.c, quad.d)
         return cls(*map(mask, rows, (head_len,) * 3 + (head_len - 1,)), head_len)
 
-    def c_bucket_key(self):
-        h = self.head_len
-        return (self.c[:h], self.c[len(self.c) - h :])
-
-    def d_bucket_key(self):
-        h = self.d_head_len
-        return (self.d[:h], self.d[len(self.d) - h :] if h else ())
+    def key(self, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (first, last) boundary entries of row `kind`, "A".."D": its row-store key."""
+        row = getattr(self, kind.lower())
+        h = self.d_head_len if kind == "D" else self.head_len
+        return row[:h], row[len(row) - h :]
 
     def fill_flags(self) -> tuple[int, int, int, int, int]:
         """A's and B's canonical scan state after the boundary, for middle fill-in.
@@ -402,10 +401,11 @@ class _SeedWork:
     give that sequence, and `live` marks their (c, d) by (c + n, d + n).
     Every target's rows can pass: 2c^2 <= 6n - 2 keeps c^2 within the
     bound, and c and d have the parity of their lengths.  `store` is the
-    run's one row store: keyed by (kind, boundary), it holds the C and D
-    buckets (None when no row passes) and the A and B join tables, each
-    built on first use and kept for the run.  The (C, D) pair cache is
-    dropped whenever the group changes.
+    run's one row store: it holds the C and D buckets by (kind, boundary)
+    and the A and B join tables by (sums, boundary), so A and B share a
+    table when their sums match (a sweep, or a hunt with a = b); each is
+    built on first use, None when no row passes, and kept for the run.
+    The (C, D) pair cache is dropped whenever the group changes.
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -422,15 +422,12 @@ class _SeedWork:
         self.pair_cache: dict = {}
 
     def rows(self, kind: str, key):
-        """The store's entry for `kind` and boundary `key`, built on first use.
-
-        C and D are keyed by their (first, last) boundary entries, A and B
-        by the seed's row.
-        """
-        if (kind, key) not in self.store:
+        """The store's entry for `kind` and (first, last) boundary `key`, built on first use."""
+        entry = (kind, key) if kind in ("C", "D") else (self.sums[kind], key)
+        if entry not in self.store:
             build = self._build_bucket if kind in ("C", "D") else self._build_table
-            self.store[kind, key] = build(kind, key)
-        return self.store[kind, key]
+            self.store[entry] = build(kind, key)
+        return self.store[entry]
 
     def _build_bucket(self, kind: str, key) -> PoolBucket | None:
         """The C (length n) or D (length n - 1) rows extending `key`, or None.
@@ -479,25 +476,26 @@ class _SeedWork:
         bucket = PoolBucket(*(np.concatenate(parts) for parts in zip(*kept)))
         return bucket if len(bucket.rows) else None
 
-    def _build_table(self, kind: str, boundary: tuple):
-        """A (or B) rows over every middle of the seed row `boundary`, sorted by NAF hash.
+    def _build_table(self, kind: str, key):
+        """A (or B) rows over every middle between `key`'s head and tail, sorted by NAF hash.
 
         Keeps the rows that pass the row's own canonical clauses
         (`core._clause_mask`) and have one of the kind's sums, with
-        their NAFs and hashes.
+        their NAFs and hashes; None when no row passes.
         """
-        n, h = self.cfg.n, self.cfg.head_len
+        head, tail = key
+        n, h = self.cfg.n, len(head)
         middles = _pm_rows(n - 2 * h)
-        # A row's sum is its boundary's (the seed row's) plus its middle's.
-        wanted = np.subtract(self.sums[kind], sum(boundary))
+        # A row's sum is its boundary's plus its middle's.
+        wanted = np.subtract(self.sums[kind], sum(head + tail))
         middles = middles[(middles.sum(axis=1)[:, None] == wanted).any(axis=1)]
-        rows = np.repeat(np.array([boundary], np.int8), len(middles), axis=0)
-        rows[:, h : n - h] = middles
+        rows = np.empty((len(middles), n), np.int8)
+        rows[:, :h], rows[:, h : n - h], rows[:, n - h :] = head, middles, tail
         rows = rows[_clause_mask(rows, kind)]
         nafs = naf_rows(rows)
         hashes = nafs @ _hash_weights(n - 1)
         order = np.argsort(hashes, kind="stable")
-        return rows[order], nafs[order], hashes[order]
+        return (rows[order], nafs[order], hashes[order]) if len(rows) else None
 
     def _pairs(self, c_key, d_key) -> _Pairs | None:
         c_bucket = self.rows("C", c_key)
@@ -529,10 +527,11 @@ class _SeedWork:
             return
         if not len(pairs.target):
             return
-        rows_a, nafs_a, hash_a = self.rows("A", seed.a)
-        rows_b, nafs_b, hash_b = self.rows("B", seed.b)
-        if not (len(hash_a) and len(hash_b)):
+        table_a = self.rows("A", seed.key("A"))
+        table_b = None if table_a is None else self.rows("B", seed.key("B"))
+        if table_b is None:
             return
+        (rows_a, nafs_a, hash_a), (rows_b, nafs_b, hash_b) = table_a, table_b
         found = []
         # Blocks of pairs keep the (pairs x B rows) lookups near a fixed size.
         step = max(1, _JOIN_BLOCK // len(hash_b))
@@ -570,7 +569,7 @@ class _SeedWork:
         group, seed = item
         if group != self.group:
             self.group, self.pair_cache = group, {}
-        key = (seed.c_bucket_key(), seed.d_bucket_key())
+        key = (seed.key("C"), seed.key("D"))
         if key not in self.pair_cache:
             self.pair_cache[key] = self._pairs(*key)
         pairs = self.pair_cache[key]
@@ -653,7 +652,7 @@ def _work_items(cfg: SearchConfig, jobs: int):
     if cfg.squares is not None:
         return ((0, seed) for seed in generate_seeds(cfg)), _BATCH_SEEDS
     seeds = list(generate_seeds(cfg))
-    groups = [(seed.c_bucket_key(), seed.d_bucket_key()) for seed in seeds]
+    groups = [(seed.key("C"), seed.key("D")) for seed in seeds]
     items = sorted(zip(groups, seeds), key=lambda item: item[0])
     # About four chunks per worker: whole bucket groups rarely split, and
     # no worker waits long for the last chunk.

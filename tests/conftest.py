@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import turynseq
 from turynseq.codec import encode, read_listing
@@ -82,6 +83,12 @@ def seed_lag_sum(seed, s: int) -> int:
         if s < len(nafs):
             total += weight * nafs[s]
     return total
+
+
+def pm_quads(n: int):
+    """Hypothesis strategy: +-1 quadruples of lengths (n, n, n, n - 1), valid or not."""
+    row = lambda m: st.tuples(*[st.sampled_from((1, -1))] * m).map(BinarySeq)
+    return st.builds(TurynQuad, row(n), row(n), row(n), row(n - 1))
 
 
 def single_flips(rows):

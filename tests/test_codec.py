@@ -5,13 +5,12 @@ fixed encode/decode pairs; roundtrips cover random shape-valid
 quadruples and every bundled reference representative.
 """
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turynseq.codec import CodecError, decode, encode, read_listing, write_listing
 from turynseq.core import TurynQuad, is_canonical, verify_tt
-from turynseq.seqs import BinarySeq
 
 from conftest import (
     KNOWN_LARGE_CODES,
@@ -22,15 +21,11 @@ from conftest import (
     TT38_CODE,
     load_reference_codes,
     load_reference_text,
+    pm_quads,
 )
 
 N8_EXAMPLE = TurynQuad.from_pm("++-+-+-+", "+------+", "+--++++-", "+++-++-")
 TT2 = TurynQuad.from_pm("++", "++", "+-", "+")
-
-
-def random_quad(rng, n):
-    pick = lambda m: BinarySeq(tuple(rng.choice((1, -1)) for _ in range(m)))
-    return TurynQuad(pick(n), pick(n), pick(n), pick(n - 1))
 
 
 class TestEncode:
@@ -70,11 +65,10 @@ class TestDecode:
         assert str(quad.c) == TT38_C
         assert str(quad.d) == TT38_D
 
-    def test_roundtrip_on_random_quads(self):
-        rng = random.Random(90210)
-        for _ in range(200):
-            q = random_quad(rng, rng.randrange(2, 12))
-            assert decode(encode(q, "full"), q.n) == q
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(2, 40).flatmap(pm_quads))
+    def test_roundtrip_on_random_quads(self, q):
+        assert decode(encode(q, "full"), q.n) == q
 
     def test_compact_roundtrip_on_references(self):
         for n in (2, 4, 6, 8, 10):

@@ -45,6 +45,7 @@ from conftest import (
     TT38_C,
     TT38_D,
     load_reference_codes,
+    pm_quads,
     single_flips,
 )
 
@@ -56,6 +57,9 @@ N8_EXAMPLE = TurynQuad.from_pm("++-+-+-+", "+------+", "+--++++-", "+++-++-")
 
 def random_element(rng):
     return list(all_elements())[rng.randrange(1024)]
+
+
+GROUP_ELEMENTS = st.tuples(*[st.integers(0, 1)] * 10).map(GroupElement)
 
 
 def orbit_scan_canonical(s):
@@ -175,13 +179,18 @@ class TestAction:
         for g in GENERATORS:
             assert g_apply(g, g_apply(g, N8_EXAMPLE)) == N8_EXAMPLE
 
-    def test_action_respects_multiplication(self):
-        rng = random.Random(31415)
-        reps = [decode(code, 8) for code in load_reference_codes("reference_n8.txt")]
-        for _ in range(100):
-            g, h = random_element(rng), random_element(rng)
-            s = reps[rng.randrange(len(reps))]
-            assert g_apply(g_mul(g, h), s) == g_apply(g, g_apply(h, s))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        g=GROUP_ELEMENTS,
+        h=GROUP_ELEMENTS,
+        s=st.one_of(
+            st.sampled_from([decode(code, 8) for code in load_reference_codes("reference_n8.txt")]),
+            # Any +-1 quadruple of even length, not only Turyn-type ones.
+            st.integers(1, 20).flatmap(lambda half: pm_quads(2 * half)),
+        ),
+    )
+    def test_action_respects_multiplication(self, g, h, s):
+        assert g_apply(g_mul(g, h), s) == g_apply(g, g_apply(h, s))
 
     def test_action_preserves_validity(self):
         for g in all_elements():

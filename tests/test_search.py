@@ -193,20 +193,35 @@ class TestSeedQuad:
         assert seed.a[:7] == tuple(tt38_quad().a.entries[:7])
         assert seed.a[7:31] == (0,) * 24
         assert seed.d[6:31] == (0,) * 25
-        assert seed.c_bucket_key() == (
-            tuple(tt38_quad().c.entries[:7]),
-            tuple(tt38_quad().c.entries[31:]),
-        )
+        # One key per row, its (first, last) boundary entries: 7 each for
+        # A, B and C and 6 for D.  A sweep sorts its items by the C and D
+        # keys, and its checkpoint counts items in that order.
+        quad = tt38_quad()
+        for kind, row, h in zip("ABCD", (quad.a, quad.b, quad.c, quad.d), (7, 7, 7, 6)):
+            entries = tuple(row.entries)
+            assert seed.key(kind) == (entries[:h], entries[len(entries) - h :]), kind
 
     def test_validation_rejects_bad_rows(self):
         good = SeedQuad.from_quad(tt38_quad(), 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lengths"):
             SeedQuad(good.a, good.b, good.c, good.d[:10], 7)
-        with pytest.raises(ValueError):
-            SeedQuad(good.a[:10] + (0,) * 28, good.b, good.c, good.d, 7)
+        # D's boundary is 6 entries wide at each end of its 37.
+        with pytest.raises(ValueError, match=r"^boundary entry 33 must be \+-1, got 0$"):
+            SeedQuad(good.a, good.b, good.c, good.d[:33] + (0,) + good.d[34:], 7)
+        with pytest.raises(ValueError, match=r"^boundary entry 31 must be \+-1, got 2$"):
+            SeedQuad(good.a, good.b[:31] + (2,) + good.b[32:], good.c, good.d, 7)
+        with pytest.raises(ValueError, match=r"^boundary entry 0 must be \+-1, got 0$"):
+            SeedQuad(good.a, good.b, (0,) + good.c[1:], good.d, 7)
         bad_mid = good.a[:19] + (1,) + good.a[20:]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^middle entry 19 must be undetermined, got 1$"):
             SeedQuad(bad_mid, good.b, good.c, good.d, 7)
+        # The first bad entry is named: rows in the order A, B, C, D, and
+        # entries in index order across the boundary and the middle.
+        bad_a = good.a[:10] + (-1,) + good.a[11:35] + (0,) + good.a[36:]
+        with pytest.raises(ValueError, match=r"^middle entry 10 must be undetermined, got -1$"):
+            SeedQuad(bad_a, (0,) + good.b[1:], good.c, good.d, 7)
+        with pytest.raises(ValueError, match=r"^middle entry 7 must be undetermined, got 1$"):
+            SeedQuad(good.a[:7] + (1,) * 24 + good.a[31:], good.b, good.c, (0,) * 37, 7)
 
     def test_boundary_lag_sums_vanish(self):
         # Lags s >= n - head_len are fully boundary-determined, so the
@@ -419,8 +434,8 @@ class TestBuildPool:
         seed = SeedQuad.from_quad(quad, cfg.head_len)
         work = search_module._SeedWork(cfg)
         for kind, key, row, count in (
-            ("C", seed.c_bucket_key(), quad.c, 168_879),
-            ("D", seed.d_bucket_key(), quad.d, 232_490),
+            ("C", seed.key("C"), quad.c, 168_879),
+            ("D", seed.key("D"), quad.d, 232_490),
         ):
             bucket = work.rows(kind, key)
             length = len(row)
@@ -451,15 +466,18 @@ class TestJoinTables:
     @pytest.mark.parametrize(
         "cfg",
         [SearchConfig(n=10), SearchConfig(n=10, squares=Decomposition(2, -2, 4, 3))]
+        + [SearchConfig(n=10, squares=Decomposition(2, 2, 4, 3))]
         + [SearchConfig(n=12), SearchConfig(n=12, squares=Decomposition(4, -2, 4, 3))],
-        ids=["sweep10", "hunt10", "sweep12", "hunt12"],
+        ids=["sweep10", "hunt10", "hunt10_a_eq_b", "sweep12", "hunt12"],
     )
     def test_tables_equal_brute_filter(self, cfg):
         # For every A and B boundary the seeds name, the table holds
         # exactly the full rows extending it that pass the scalar clause
         # and have a sum the run's targets give that row, each with its
-        # NAF, sorted by hash.  A sweep's sums are every signed a and b of
-        # the decompositions; a hunt's are its own a and b.
+        # NAF, sorted by hash, or is None when no row does.  A sweep's
+        # sums are every signed a and b of the decompositions; a hunt's
+        # are its own a and b.  A and B share one table per boundary when
+        # their sums match.
         n, h = cfg.n, cfg.head_len
         if cfg.squares is None:
             sums_a = sums_b = {s * v for sq in decompositions(n) for v in sq[:2] for s in (1, -1)}
@@ -470,16 +488,23 @@ class TestJoinTables:
         weights = search_module._hash_weights(n - 1)
         compared = 0
         for seed in generate_seeds(cfg):
-            for kind, boundary, sums in (("A", seed.a, sums_a), ("B", seed.b, sums_b)):
-                rows, nafs, hashes = work.rows(kind, boundary)
+            for kind, sums in (("A", sums_a), ("B", sums_b)):
+                head, tail = seed.key(kind)
+                table = work.rows(kind, (head, tail))
+                other = work.rows("AB".replace(kind, ""), (head, tail))
+                assert (table is other) == (sums_a == sums_b)
                 expected = {
                     tuple(row)
                     for row in all_rows.tolist()
-                    if row[:h] == list(boundary[:h])
-                    and row[n - h :] == list(boundary[n - h :])
+                    if tuple(row[:h]) == head
+                    and tuple(row[n - h :]) == tail
                     and sum(row) in sums
                     and _ab_clause(row)
                 }
+                if table is None:
+                    assert not expected
+                    continue
+                rows, nafs, hashes = table
                 assert {tuple(row) for row in rows.tolist()} == expected
                 assert len(rows) == len(expected)
                 correlations = [np.correlate(row, row, "full")[n:] for row in rows]
@@ -488,6 +513,34 @@ class TestJoinTables:
                 assert np.all(np.diff(hashes) >= 0)
                 compared += len(rows)
         assert compared
+
+
+    @pytest.mark.parametrize(
+        "cfg, tables, kind_keys",
+        [
+            (SearchConfig(n=12), 10, 14),
+            (SearchConfig(n=16), 36, 52),
+            (SearchConfig(n=10, squares=Decomposition(2, 2, 4, 3)), 3, 4),
+        ],
+        ids=["sweep12", "sweep16", "hunt10_a_eq_b"],
+    )
+    def test_one_table_per_boundary(self, cfg, tables, kind_keys, monkeypatch):
+        # A and B keep the same sums in a sweep and in a hunt with a = b,
+        # so they share one table per (head, tail) boundary: `tables`
+        # builds, against `kind_keys` when each kind had its own.
+        built = []
+        real_build = search_module._SeedWork._build_table
+
+        def counting(work, kind, key):
+            built.append(key)
+            return real_build(work, kind, key)
+
+        monkeypatch.setattr(search_module._SeedWork, "_build_table", counting)
+        assert search(cfg)
+        seeds = list(generate_seeds(cfg))
+        assert len({seed.key(kind) for seed in seeds for kind in "AB"}) == tables
+        assert len({(kind, seed.key(kind)) for seed in seeds for kind in "AB"}) == kind_keys
+        assert len(built) == len(set(built)) == tables
 
 
 class TestSpectralSoundness:
@@ -594,8 +647,8 @@ class TestJoin:
             c_full = spectral_full_rows(10, cfg.head_len, c_sum, cfg)
             d_full = spectral_full_rows(9, cfg.d_head_len, d_sum, cfg)
             for seed in seeds:
-                c_found = c_full.get(seed.c_bucket_key())
-                d_found = d_full.get(seed.d_bucket_key())
+                c_found = c_full.get(seed.key("C"))
+                d_found = d_full.get(seed.key("D"))
                 if c_found is None or d_found is None:
                     continue
                 c_full_rows = np.array([row for row, _ in c_found])
@@ -653,6 +706,19 @@ class TestJoin:
 
         monkeypatch.setattr(search_module, "_fill", no_walk)
         assert list(sweep(10).codes) == reference_codes[10]
+
+    @pytest.mark.parametrize("n, flipped", [(30, (-8, 8, 4, 3)), (32, (-2, 8, 6, 5))])
+    def test_walk_keeps_only_the_run_sums(self, n, flipped):
+        # Middles of 18 entries are walked, not joined; the walk's output
+        # is filtered by the run's A and B sums as the tables are.
+        quad = decode(PUBLISHED_CODES[n], n)
+        seed = SeedQuad.from_quad(quad, default_head_len(n))
+        assert n - 2 * seed.head_len > search_module._JOIN_MAX_MIDDLE
+        c_rows, d_rows = (np.array([row.entries], np.int8) for row in (quad.c, quad.d))
+        pairs = search_module._pair_block(c_rows, d_rows)
+        for squares, expected in ((quad.row_sums(), [quad]), (flipped, [])):
+            work = search_module._SeedWork(SearchConfig(n, squares=squares))
+            assert list(work._completions(seed, pairs)) == expected, squares
 
     def test_row_sum_targets_filter_before_verify(self, monkeypatch):
         # With (c, d) = (4, 3) the sums of A and B are fixed only up to
@@ -853,13 +919,13 @@ class TestSearch:
         monkeypatch.setattr(search_module, "generate_seeds", recording)
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3), stop_after=1)
         assert len(search(cfg)) == 1
-        c_keys = {seed.c_bucket_key() for seed in pulled}
-        d_keys = {seed.d_bucket_key() for seed in pulled}
+        c_keys = {seed.key("C") for seed in pulled}
+        d_keys = {seed.key("D") for seed in pulled}
         assert len(built) == len(set(built))
         assert {key for kind, key in built if kind == "C"} <= c_keys
         assert {key for kind, key in built if kind == "D"} <= d_keys
-        assert {key for kind, key in built if kind == "A"} <= {seed.a for seed in pulled}
-        assert {key for kind, key in built if kind == "B"} <= {seed.b for seed in pulled}
+        assert {key for kind, key in built if kind == "A"} <= {s.key("A") for s in pulled}
+        assert {key for kind, key in built if kind == "B"} <= {s.key("B") for s in pulled}
         # 65 seeds name 6 of the 235 non-empty C buckets and 3 of the 61 D.
         assert (len(c_keys), len(d_keys)) == (6, 3)
 
