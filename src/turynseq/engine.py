@@ -34,9 +34,9 @@ canonical-form conditions:
 
 These are exactly the six canonical conditions restricted to decided
 entries, so with the full plan the leaves are precisely the canonical
-quadruples; a plan that resumes after a preset prefix, with
-`start_flags` holding the prefix's scan state, keeps every canonical
-completion of that prefix.
+quadruples; a plan that resumes after a preset partial quadruple
+keeps every canonical completion of it, since the walk reads its start
+scan state off the preset pairs.
 
 Engines are single-use: build one, run `walk` once.
 """
@@ -69,7 +69,8 @@ def fill_plan(n: int, head_len: int) -> list[tuple[int, int]]:
 class PairDfs:
     """One depth-first walk over a plan of symmetric-pair assignments."""
 
-    def __init__(self, n, plan, preset=(), start_flags=(1, 1, 1, 1, 0)):
+    def __init__(self, n, plan, preset=()):
+        """`preset`: rows A, B, C, D of a partial quadruple, 0 marking entries left to walk."""
         if n < 2 or n % 2:
             raise ValueError(f"pairwise walk needs even n >= 2, got {n}")
         self.n = n
@@ -80,9 +81,10 @@ class PairDfs:
         self._P = [0] * n
         self._U = [0] + [4 * (n - s) + 2 * max(0, n - 1 - s) for s in range(1, n)]
         self.preset_ok = True
-        for seq, j, v in preset:
-            if not self._set(seq, j, v):
-                self.preset_ok = False
+        for seq, row in enumerate(preset):
+            for j, v in enumerate(row):
+                if v and not self._set(seq, j, int(v)):
+                    self.preset_ok = False
         # Plan items: (seq, step k, j1, j2) with j2 = -1 for the D middle entry.
         # The filled positions at each depth depend only on the plan, so the
         # (partner position, lag) pairs each new entry touches are precomputed.
@@ -110,9 +112,14 @@ class PairDfs:
                 (self.rows[seq], self._weight[seq], j1, touches1, j2, touches2)
             )
         # Flags: (sym_a, sym_b, antisym_c, d_scan_open, d_eps); one slot per
-        # depth.  `start_flags` carries the scan state into a plan that
-        # resumes midway (e.g. middle fill after a boundary seed).
-        self._fl = [tuple(start_flags)] + [None] * len(self._plan)
+        # depth.  They start as the scan of the preset pairs with both entries
+        # set; D's lone middle entry, zipped with itself, has product +1.
+        eps = self.rows[3][-1]
+        start = (
+            int(all(x * y == sign for x, y in zip(row, row[::-1]) if x and y))
+            for row, sign in zip(self.rows, (1, 1, -1, eps))
+        )
+        self._fl = [(*start, eps)] + [None] * len(self._plan)
 
     # -- state updates ----------------------------------------------------
 

@@ -26,7 +26,7 @@ from .seqs import BinarySeq, naf_rows
 
 
 class FeasibilityError(ValueError):
-    """Raised when an exhaustive run would exceed the configured size cap."""
+    """Raised when an exhaustive run would exceed a size cap."""
 
 
 class Decomposition(NamedTuple):
@@ -88,6 +88,9 @@ class ClassListing:
         )
 
 
+# The largest n `enumerate_canonical` (one uncheckpointed sweep) and
+# `brute_force_classes` (2^(4n-1) quadruples) run.
+_ENUMERATE_MAX_N, _BRUTE_MAX_N = 20, 8
 # `enumerate --n N --jobs 1` wall times measured 2026-10-19 on a 2-core
 # machine with Python 3.11 and one BLAS thread: n = 18 took 31-35 s and
 # n = 20 991 s.  The step grows with n, so the last one (about 30x) is used.
@@ -101,22 +104,22 @@ def _runtime_estimate(n: int) -> str:
     return f"roughly {hours / 24:.0f} days"
 
 
-def enumerate_canonical(n: int, jobs: int = 1, cap: int = 20) -> ClassListing:
+def enumerate_canonical(n: int, jobs: int = 1) -> ClassListing:
     """All canonical representatives of length n as a sorted listing.
 
     Runs the two-phase search over every row-sum target with `jobs`
     processes; n = 2 has no boundary seeds, so its one class comes from
-    `brute_force_classes`.  Refuses n beyond `cap` (n = 20 takes about
-    17 minutes, and the sweep grows about 30x per length step there);
-    raise the cap explicitly to run longer jobs.
+    `brute_force_classes`.  Refuses n above 20 (n = 20 takes about 17
+    minutes, and the sweep grows about 30x per length step there); the
+    same sweep runs, and resumes, as `search(SearchConfig(n=N))`.
     """
     if n < 2 or n % 2:
         raise ValueError(f"enumeration needs even n >= 2, got {n}")
-    if n > cap:
+    if n > _ENUMERATE_MAX_N:
         raise FeasibilityError(
-            f"full enumeration at n={n} exceeds the cap ({cap}); "
+            f"full enumeration at n={n} exceeds the cap ({_ENUMERATE_MAX_N}); "
             f"estimated runtime {_runtime_estimate(n)}. "
-            "Pass a larger cap to run it anyway."
+            f"Run search(SearchConfig(n={n})) with a checkpoint to sweep it in resumable slices."
         )
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -134,7 +137,7 @@ def _pm_rows(length: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def brute_force_classes(n: int, limit: int = 8) -> tuple[int, ClassListing]:
+def brute_force_classes(n: int) -> tuple[int, ClassListing]:
     """Classes of length n by raw filtering over all 2^(4n-1) quadruples.
 
     Completely independent of the pairwise walk: enumerate every (C, D)
@@ -144,8 +147,8 @@ def brute_force_classes(n: int, limit: int = 8) -> tuple[int, ClassListing]:
     """
     if n < 2:
         raise ValueError(f"brute force needs n >= 2, got {n}")
-    if n > limit:
-        raise ValueError(f"brute force over 2^{4 * n - 1} quadruples refused (n > {limit})")
+    if n > _BRUTE_MAX_N:
+        raise ValueError(f"brute force over 2^{4 * n - 1} quadruples refused (n > {_BRUTE_MAX_N})")
     rows_n = _pm_rows(n)
     rows_d = _pm_rows(n - 1)
     prof_n = naf_rows(rows_n)
@@ -207,11 +210,11 @@ def class_sum_profiles(quad: TurynQuad) -> set[Decomposition]:
 
 
 def realizability_report(
-    n: int, listing: ClassListing | None = None, jobs: int = 1, cap: int = 20
+    n: int, listing: ClassListing | None = None, jobs: int = 1
 ) -> dict[Decomposition, bool]:
     """Which row-sum decompositions are realized by actual classes at length n."""
     if listing is None:
-        listing = enumerate_canonical(n, jobs=jobs, cap=cap)
+        listing = enumerate_canonical(n, jobs=jobs)
     realized: set[Decomposition] = set()
     for code in listing.codes:
         realized.update(class_sum_profiles(decode(code, n)))

@@ -64,8 +64,9 @@ Tables have 2^m rows, so the join serves m <= 16 (n <= 28 at the
 default head_len).  Longer middles (m = 24 at n = 38 with its 7-wide
 boundary) are filled instead by the pairwise walk, with the remaining lag
 constraints and the canonical prefix pruning enforced; it too keeps
-every canonical completion, and its output is filtered by the run's A
-and B sums as the tables are.  Both paths emit in the walk's order.
+every canonical completion.  Both paths end in one tail: it keeps the
+A and B rows of the run's sums (the tables hold no others), emits in
+the walk's order, and makes the one batched check above.
 
 `search` is the one driver.  A config with `squares` hunts one signed
 row-sum target: its seeds stream lazily in generation order.  A config
@@ -91,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import encode, read_listing, write_listing
-from .core import TurynQuad, _clause_mask, is_canonical, verify_tt
+from .core import TurynQuad, _clause_mask, is_canonical
 from .engine import PairDfs, fill_plan, seed_plan
 from .enumeration import (
     ClassListing,
@@ -250,17 +251,6 @@ class SeedQuad:
         h = self.d_head_len if kind == "D" else self.head_len
         return row[:h], row[len(row) - h :]
 
-    def fill_flags(self) -> tuple[int, int, int, int, int]:
-        """A's and B's canonical scan state after the boundary, for middle fill-in.
-
-        The fill plan has only A and B steps, which never read the C and D
-        slots of the flags, so those stay 0.
-        """
-        n = self.n
-        sym_a = int(all(self.a[i] == self.a[n - 1 - i] for i in range(self.head_len)))
-        sym_b = int(all(self.b[i] == self.b[n - 1 - i] for i in range(self.head_len)))
-        return (sym_a, sym_b, 0, 0, 0)
-
 
 def generate_seeds(cfg: SearchConfig):
     """Stream every boundary seed exactly once, in a fixed deterministic order."""
@@ -309,26 +299,23 @@ def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
     return _SeedWork(SearchConfig(seed.n, head_len=seed.head_len))._completions(seed, pairs)
 
 
-def _fill(seed: SeedQuad, c_row, d_row):
-    """Walk the canonical-pruned A/B middle fill and verify each completion.
+def _walk(seed: SeedQuad, c_rows, d_rows):
+    """(pair index, A rows, B rows) of the canonical-pruned middle walk of each (C, D) pair.
 
     The class of every valid completion is still represented: a class's
     canonical member extends its own boundary seed and survives the
-    pruning.
+    pruning.  Rows come pair by pair, each pair's in the walk's order.
     """
     n = seed.n
-    preset = [(2, j, int(v)) for j, v in enumerate(c_row)]
-    preset += [(3, j, int(v)) for j, v in enumerate(d_row)]
-    preset += [(0, j, v) for j, v in enumerate(seed.a) if v]
-    preset += [(1, j, v) for j, v in enumerate(seed.b) if v]
-    eng = PairDfs(
-        n, fill_plan(n, seed.head_len), preset=preset, start_flags=seed.fill_flags()
-    )
-    for _ in eng.walk():
-        quad = TurynQuad(*(BinarySeq(row) for row in eng.snapshot()))
-        if not verify_tt(quad):
-            raise RuntimeError(f"fill-in emitted an invalid quadruple: {quad}")
-        yield quad
+    plan = fill_plan(n, seed.head_len)
+    found, rows = [], []
+    for i, (c_row, d_row) in enumerate(zip(c_rows, d_rows)):
+        eng = PairDfs(n, plan, preset=(seed.a, seed.b, c_row, d_row))
+        for _ in eng.walk():
+            found.append(i)
+            rows.append(eng.rows[0] + eng.rows[1])
+    ab = np.array(rows, np.int8).reshape(-1, 2 * n)
+    return np.array(found, np.intp), ab[:, :n], ab[:, n:]
 
 
 class _Pairs(NamedTuple):
@@ -505,32 +492,17 @@ class _SeedWork:
         ic, id_, nafs = _spectral_pairs(c_bucket, d_bucket, self.live, self.limit)
         return _pair_block(c_bucket.rows[ic], d_bucket.rows[id_], nafs)
 
-    def _completions(self, seed: SeedQuad, pairs: _Pairs):
-        """Verified completions of the A and B middles for each (C, D) pair.
+    def _join(self, seed: SeedQuad, pairs: _Pairs):
+        """(pair index, A rows, B rows) of every table join hit, in no set order.
 
-        Middles of up to `_JOIN_MAX_MIDDLE` entries are joined: hash(N_A)
-        must equal hash(T) - hash(N_B), since the projection is linear, and
-        each hash match is confirmed by exact NAF equality; then one
-        `naf_vanishes` call checks all the hits with the weights of
-        `verify_tt`, and raises if any fails.  Longer middles are walked.
-        Both paths yield in the walk's order (pair by pair), so results and
-        `stop_after` do not depend on the path, and keep only A and B rows
-        of the kinds' sums: the tables hold no others.
+        hash(N_A) must equal hash(T) - hash(N_B), since the projection is
+        linear, and each hash match is confirmed by exact NAF equality.
         """
-        h = seed.head_len
-        if seed.n - 2 * h > _JOIN_MAX_MIDDLE:
-            for c_row, d_row in zip(pairs.c_rows, pairs.d_rows):
-                for quad in _fill(seed, c_row, d_row):
-                    sum_a, sum_b = quad.row_sums()[:2]
-                    if sum_a in self.sums["A"] and sum_b in self.sums["B"]:
-                        yield quad
-            return
-        if not len(pairs.target):
-            return
-        table_a = self.rows("A", seed.key("A"))
+        table_a = self.rows("A", seed.key("A")) if len(pairs.target) else None
         table_b = None if table_a is None else self.rows("B", seed.key("B"))
         if table_b is None:
-            return
+            empty = np.empty((0, seed.n), np.int8)
+            return np.empty(0, np.intp), empty, empty
         (rows_a, nafs_a, hash_a), (rows_b, nafs_b, hash_b) = table_a, table_b
         found = []
         # Blocks of pairs keep the (pairs x B rows) lookups near a fixed size.
@@ -547,12 +519,32 @@ class _SeedWork:
             exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
             found.append((ip[exact], ia[exact], ib[exact]))
         ip, ia, ib = map(np.concatenate, zip(*found))
+        return ip, rows_a[ia], rows_b[ib]
+
+    def _completions(self, seed: SeedQuad, pairs: _Pairs):
+        """Verified completions of the A and B middles for each (C, D) pair.
+
+        Middles of up to `_JOIN_MAX_MIDDLE` entries are joined, longer ones
+        walked; one tail serves both.  It keeps only A and B rows of the
+        kinds' sums (the tables hold no others), yields in the walk's order
+        (pair by pair), so results and `stop_after` do not depend on the
+        path, and checks every completion in one `naf_vanishes` call with
+        the weights of `verify_tt`, raising if any fails.
+        """
+        h, n = seed.head_len, seed.n
+        if n - 2 * h > _JOIN_MAX_MIDDLE:
+            ip, a, b = _walk(seed, pairs.c_rows, pairs.d_rows)
+        else:
+            ip, a, b = self._join(seed, pairs)
+        if len(ip):
+            keep = (a.sum(axis=1)[:, None] == self.sums["A"]).any(axis=1)
+            keep &= (b.sum(axis=1)[:, None] == self.sums["B"]).any(axis=1)
+            ip, a, b = ip[keep], a[keep], b[keep]
         if not len(ip):
             return
-        a, b = rows_a[ia], rows_b[ib]
         # The walk's order: pair by pair, then the middles of A and B from the
         # outside in, +1 before -1 at each step (np.lexsort's last key leads).
-        k = np.arange(h, seed.n // 2)
+        k = np.arange(h, n // 2)
         steps = np.stack([a[:, k], a[:, -1 - k], b[:, k], b[:, -1 - k]], axis=2)
         steps = steps.reshape(len(ip), -1)
         order = np.lexsort([*(-steps.T[::-1]), ip])
@@ -560,7 +552,7 @@ class _SeedWork:
         valid = naf_vanishes(quads, (1, 1, 2, 2))
         if not valid.all():
             bad = TurynQuad(*(BinarySeq(rows[np.argmin(valid)].tolist()) for rows in quads))
-            raise RuntimeError(f"NAF join emitted an invalid quadruple: {bad}")
+            raise RuntimeError(f"A/B middle completion is not a Turyn-type quadruple: {bad}")
         for entries in zip(*(rows.tolist() for rows in quads)):
             yield TurynQuad(*map(BinarySeq, entries))
 

@@ -102,7 +102,7 @@ class TestAcceptance:
                 assert listing.codes == listing_cache(n).codes
             assert time.monotonic() - t0 < 60.0
             if LONG:
-                count, listing = brute_force_classes(8, limit=8)
+                count, listing = brute_force_classes(8)
                 assert listing.codes == listing_cache(8).codes
 
     def test_04_unique_canonical_member_per_orbit(self, listing_cache):

@@ -146,9 +146,10 @@ class TestEnumerate:
         with pytest.raises(FeasibilityError, match="cap"):
             enumerate_canonical(22)
         with pytest.raises(FeasibilityError, match="roughly"):
-            enumerate_canonical(40, cap=20)
-        # An explicit larger cap overrides the refusal.
-        assert len(enumerate_canonical(8, cap=8)) == REFERENCE_COUNTS[8]
+            enumerate_canonical(40)
+        # The refusal names the sweep that takes a checkpoint and resumes.
+        with pytest.raises(FeasibilityError, match=r"search\(SearchConfig\(n=22\)\)"):
+            enumerate_canonical(22)
 
     def test_cap_refusal_estimate_uses_measured_growth(self):
         # About 30x per length step from the sweep's 991 s at n = 20 puts

@@ -29,6 +29,7 @@ from conftest import (
     seed_lag_sum,
 )
 from turynseq.codec import decode, encode
+from turynseq.engine import PairDfs, fill_plan, full_plan, seed_plan
 from turynseq.core import TurynQuad, _ab_clause, _c_clause, _d_clause, is_canonical, verify_tt
 from turynseq.enumeration import (
     Decomposition,
@@ -63,6 +64,13 @@ def cfg10(**kw) -> SearchConfig:
 def sweep(n: int, **kw):
     """Every class at length n, through `search` without a row-sum target."""
     return search(SearchConfig(n=n), **kw)
+
+
+def walked(seed: SeedQuad, c_rows, d_rows) -> list[TurynQuad]:
+    """`_walk`'s completions in its own order, before the tail's sum filter, sort and check."""
+    ip, a, b = search_module._walk(seed, c_rows, d_rows)
+    rows = (a.tolist(), b.tolist(), c_rows[ip].tolist(), d_rows[ip].tolist())
+    return [TurynQuad(*map(BinarySeq, entries)) for entries in zip(*rows)]
 
 
 def every_bucket(work, kind: str) -> dict:
@@ -282,6 +290,44 @@ class TestGenerateSeeds:
         a = list(generate_seeds(cfg10(squares=Decomposition(0, 0, 2, 5))))
         b = list(generate_seeds(cfg10(squares=Decomposition(2, 2, 0, 5))))
         assert a == b
+
+
+class TestWalkStartState:
+    """`PairDfs` reads its canonical scan state off the preset pairs."""
+
+    def test_no_preset_starts_every_scan_open(self):
+        for n in (4, 10, 38):
+            assert PairDfs(n, full_plan(n))._fl[0] == (1, 1, 1, 1, 0)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_seed_preset_resumes_the_seed_walk(self, n):
+        # Read off a seed, the start state equals the scan state the seed
+        # walk itself reached at that seed, in all five slots.
+        h = default_head_len(n)
+        eng = PairDfs(n, seed_plan(h))
+        count = 0
+        for _ in eng.walk():
+            seed = SeedQuad(*eng.snapshot(), h)
+            resumed = PairDfs(n, fill_plan(n, h), preset=(seed.a, seed.b, seed.c, seed.d))
+            assert resumed._fl[0] == eng._fl[-1]
+            count += 1
+        assert count == len(list(generate_seeds(SearchConfig(n=n))))
+
+    @pytest.mark.parametrize("n", [10, 12, 30, 32, 34, 36, 38])
+    def test_fill_start_is_the_boundary_symmetry_of_a_and_b(self, n):
+        # The A and B slots of a fill engine, C and D full rows, are the
+        # end-symmetry of the seed's A and B boundary.
+        h = default_head_len(n)
+        if n in PUBLISHED_CODES:
+            quad = decode(PUBLISHED_CODES[n], n)
+            fills = [(SeedQuad.from_quad(quad, h), quad.c.entries, quad.d.entries)]
+        else:
+            # Every seed of the sweep; C and D keep only their boundary.
+            fills = [(seed, seed.c, seed.d) for seed in generate_seeds(SearchConfig(n=n))]
+        for seed, c_row, d_row in fills:
+            eng = PairDfs(n, fill_plan(n, h), preset=(seed.a, seed.b, c_row, d_row))
+            symmetric = [int(all(r[i] == r[n - 1 - i] for i in range(h))) for r in (seed.a, seed.b)]
+            assert list(eng._fl[0][:2]) == symmetric
 
 
 class TestBuildPool:
@@ -630,9 +676,8 @@ class TestJoin:
         pairs = search_module._pair_block(c_rows, d_rows)
         work = search_module._SeedWork(SearchConfig(n=n, head_len=head_len))
         joined = list(work._completions(seed, pairs))
-        walked = list(search_module._fill(seed, quad.c.entries, quad.d.entries))
         assert quad in joined
-        assert joined == walked
+        assert joined == walked(seed, c_rows, d_rows)
 
     def test_join_keeps_walk_order_over_every_pair_of_a_seed(self):
         # Results files and stop_after follow the emission order, so the
@@ -657,13 +702,8 @@ class TestJoin:
                 d_rows = np.tile(d_full_rows, (len(c_full_rows), 1))
                 pairs = search_module._pair_block(c_rows, d_rows)
                 joined = list(work._completions(seed, pairs))
-                walked = [
-                    quad
-                    for c_row, d_row in zip(c_rows, d_rows)
-                    for quad in search_module._fill(seed, c_row, d_row)
-                ]
-                assert joined == walked
-                compared += len(walked)
+                assert joined == walked(seed, c_rows, d_rows)
+                compared += len(joined)
         # 116 completions; 17 share their (C, D) pair with an earlier one.
         assert compared == 116
 
@@ -687,11 +727,22 @@ class TestJoin:
         assert all(is_canonical(quad) for quad in joined)
 
     def test_join_raises_when_the_batched_check_fails(self, monkeypatch):
+        # The join and the walk share one check: a 6-entry middle is joined,
+        # the 18-entry middle of the published n=30 code is walked.
         monkeypatch.setattr(
             search_module, "naf_vanishes", lambda rows, weights: np.zeros(len(rows[0]), bool)
         )
-        with pytest.raises(RuntimeError, match="NAF join emitted an invalid quadruple"):
+        message = "A/B middle completion is not a Turyn-type quadruple"
+        with pytest.raises(RuntimeError, match=message):
             sweep(10)
+        quad = decode(PUBLISHED_CODES[30], 30)
+        seed = SeedQuad.from_quad(quad, default_head_len(30))
+        assert 30 - 2 * seed.head_len > search_module._JOIN_MAX_MIDDLE
+        c_rows, d_rows = (np.array([row.entries], np.int8) for row in (quad.c, quad.d))
+        pairs = search_module._pair_block(c_rows, d_rows)
+        work = search_module._SeedWork(SearchConfig(30, squares=quad.row_sums()))
+        with pytest.raises(RuntimeError, match=message):
+            list(work._completions(seed, pairs))
 
     def test_hash_collisions_are_settled_exactly(self, monkeypatch, reference_codes):
         # An all-zero projection makes every pair and row collide.
@@ -704,7 +755,7 @@ class TestJoin:
         def no_walk(*args):
             raise AssertionError("a middle of 6 entries must be joined")
 
-        monkeypatch.setattr(search_module, "_fill", no_walk)
+        monkeypatch.setattr(search_module, "_walk", no_walk)
         assert list(sweep(10).codes) == reference_codes[10]
 
     @pytest.mark.parametrize("n, flipped", [(30, (-8, 8, 4, 3)), (32, (-2, 8, 6, 5))])
