@@ -53,8 +53,6 @@ from .search import (
 from .seqs import (
     BinarySeq,
     TernarySeq,
-    concat,
-    half_combine,
     naf_all,
     spectrum_value,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "brute_force_classes",
     "canonicalize",
     "class_sum_profiles",
-    "concat",
     "decode",
     "decompositions",
     "encode",
@@ -87,7 +84,6 @@ __all__ = [
     "g_apply",
     "g_mul",
     "generate_seeds",
-    "half_combine",
     "is_canonical",
     "max_initial_zeros",
     "naf_all",

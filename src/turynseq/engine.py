@@ -12,12 +12,15 @@ is complete, and the last step completes all remaining lags at once.
 
 The running state keeps, per lag s, the partial weighted sum P[s] of
 determined product terms and the weighted count U[s] of undetermined
-terms (weights 1, 1, 2, 2).  Undetermined terms can move the final sum
-by at most U[s] in either direction, so a branch stays viable only
-while |P[s]| <= U[s] for every lag; when U[s] hits zero this forces
-the exact condition F(s) = 0.  (P[s] + U[s] is invariant mod 2 and
-starts even, so no parity check is needed.)  Every branch cut this way
-violates a necessary condition, hence no completion is lost to it.
+terms (weights 1, 1, 2, 2).  Both start from one `seqs.naf_sums` call
+on the preset: P is the weighted NAF of its rows (0 for unset entries),
+U that of all-ones rows minus that of their supports.  Undetermined
+terms can move the final sum by at most U[s] in either direction, so a
+branch stays viable only while |P[s]| <= U[s] for every lag; when U[s]
+hits zero this forces the exact condition F(s) = 0.  (P[s] + U[s] is
+invariant mod 2 and starts even, so no parity check is needed.)  Every
+branch cut this way violates a necessary condition, hence no completion
+is lost to it.
 
 The walk also restricts choices to the prefix-decidable parts of the
 canonical-form conditions:
@@ -42,6 +45,10 @@ Engines are single-use: build one, run `walk` once.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from .seqs import naf_sums
 
 _PAIR_ALL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -75,22 +82,24 @@ class PairDfs:
             raise ValueError(f"pairwise walk needs even n >= 2, got {n}")
         self.n = n
         self.rows = [[0] * n, [0] * n, [0] * n, [0] * (n - 1)]
-        self._pos = [[], [], [], []]
-        self._weight = (1, 1, 2, 2)
-        # U[s]: weighted count of product terms at lag s over all four rows.
-        self._P = [0] * n
-        self._U = [0] + [4 * (n - s) + 2 * max(0, n - 1 - s) for s in range(1, n)]
-        self.preset_ok = True
         for seq, row in enumerate(preset):
-            for j, v in enumerate(row):
-                if v and not self._set(seq, j, int(v)):
-                    self.preset_ok = False
+            self.rows[seq] = [int(v) for v in row]
+        self._weight = (1, 1, 2, 2)
+        # P[s] is the weighted NAF of the preset (0 = unset) at lag s >= 1; U[s],
+        # that of all ones minus that of the support, counts the product terms
+        # with an unset factor.  Each term set moves P[s] by w and lowers U[s]
+        # by w, so a lag dead partway through the preset stays dead.
+        members = [(r, abs(r), np.ones_like(r)) for r in map(np.array, self.rows)]
+        P, support, ones = naf_sums(members, self._weight)
+        U = ones - support
+        self._P, self._U = [0, *P.tolist()], [0, *U.tolist()]
+        self.preset_ok = bool(np.all(abs(P) <= U))
         # Plan items: (seq, step k, j1, j2) with j2 = -1 for the D middle entry.
         # The filled positions at each depth depend only on the plan, so the
         # (partner position, lag) pairs each new entry touches are precomputed.
         self._plan = []
         self._sched = []
-        filled = [list(p) for p in self._pos]
+        filled = [[j for j, v in enumerate(row) if v] for row in self.rows]
         for seq, k in plan:
             j1 = k - 1
             j2 = n - k if seq < 3 else n - k - 1
@@ -98,9 +107,7 @@ class PairDfs:
                 j2 = -1
             self._plan.append((seq, k, j1, j2))
             # High lags complete first and bind tightest, so check them first.
-            touches1 = tuple(
-                sorted(((p, abs(j1 - p)) for p in filled[seq]), key=lambda ps: -ps[1])
-            )
+            touches1 = tuple(sorted(((p, abs(j1 - p)) for p in filled[seq]), key=lambda ps: -ps[1]))
             filled[seq].append(j1)
             touches2 = ()
             if j2 >= 0:
@@ -108,9 +115,7 @@ class PairDfs:
                     sorted(((p, abs(j2 - p)) for p in filled[seq]), key=lambda ps: -ps[1])
                 )
                 filled[seq].append(j2)
-            self._sched.append(
-                (self.rows[seq], self._weight[seq], j1, touches1, j2, touches2)
-            )
+            self._sched.append((self.rows[seq], self._weight[seq], j1, touches1, j2, touches2))
         # Flags: (sym_a, sym_b, antisym_c, d_scan_open, d_eps); one slot per
         # depth.  They start as the scan of the preset pairs with both entries
         # set; D's lone middle entry, zipped with itself, has product +1.
@@ -122,28 +127,6 @@ class PairDfs:
         self._fl = [(*start, eps)] + [None] * len(self._plan)
 
     # -- state updates ----------------------------------------------------
-
-    def _set(self, seq, j, v):
-        """Assign one preset entry, updating every touched lag; False when a lag dies."""
-        row = self.rows[seq]
-        pos = self._pos[seq]
-        w = self._weight[seq]
-        P, U = self._P, self._U
-        ok = True
-        for p in pos:
-            s = j - p
-            if s < 0:
-                s = -s
-            U[s] -= w
-            t = P[s] + w * v * row[p]
-            P[s] = t
-            if t < 0:
-                t = -t
-            if t > U[s]:
-                ok = False
-        row[j] = v
-        pos.append(j)
-        return ok
 
     def _roll_back(self, row, w, j, touches, upto):
         """Reverse the first `upto` touch updates of one entry and clear it."""
@@ -206,22 +189,16 @@ class PairDfs:
         seq, k, j1, j2 = self._plan[t]
         fl = self._fl[t]
         sa, sb, ac, don, eps = fl
-        if seq == 0:
-            if k == 1:
-                return [(1, 1, fl)]
-            if sa:
-                off = (0, sb, ac, don, eps)
-                return [(1, 1, fl), (1, -1, off), (-1, -1, fl)]
-            return [(v1, v2, fl) for v1, v2 in _PAIR_ALL]
-        if seq == 1:
+        if seq < 2:
+            # One rule on A's or B's own symmetry slot; B adds clause (vi) at k = 2.
             if k == 1:
                 opts = [(1, 1, fl)]
-            elif sb:
-                off = (sa, 0, ac, don, eps)
+            elif fl[seq]:
+                off = fl[:seq] + (0,) + fl[seq + 1 :]
                 opts = [(1, 1, fl), (1, -1, off), (-1, -1, fl)]
             else:
                 opts = [(v1, v2, fl) for v1, v2 in _PAIR_ALL]
-            if k == 2 and self.n > 2:
+            if seq == 1 and k == 2:
                 # a_2, a_{n-1} are already placed; this pair is (b_2, b_{n-1}).
                 a2 = self.rows[0][1]
                 an1 = self.rows[0][self.n - 2]

@@ -621,9 +621,11 @@ def _read_checkpoint(path, cfg) -> tuple[int, bool]:
     try:
         config_hash = fields["config"]
         seed_index = int(fields["seed_index"])
-        done = bool(int(fields["done"]))
+        done = fields["done"]
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    if done not in ("0", "1"):
+        raise CheckpointError(f"done must be 0 or 1 in {path}, got {done!r}")
     if config_hash != cfg.run_hash():
         raise CheckpointError(
             f"checkpoint {path} belongs to config {config_hash}, "
@@ -631,7 +633,7 @@ def _read_checkpoint(path, cfg) -> tuple[int, bool]:
         )
     if seed_index < 0:
         raise CheckpointError(f"negative seed index in {path}")
-    return seed_index, done
+    return seed_index, done == "1"
 
 
 def _work_items(cfg: SearchConfig, jobs: int):

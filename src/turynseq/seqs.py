@@ -25,10 +25,12 @@ nonnegative up to floating rounding.
 
 `naf_rows` is the one NAF kernel: every autocorrelation in the package,
 from `naf_all` and the lag conditions of `naf_vanishes` to the pool
-spectra, is computed by it, and `spectrum_nafs` is the one spectrum
-formula.  A sequence shorter than the others (D in a Turyn quadruple)
-is padded with trailing zeros, which leaves its NAF unchanged and makes
-the lags it lacks read 0.
+spectra, is computed by it.  `naf_sums` is the one weighting of several
+rows' NAFs: `verify_tt`, the batched check of the search's completions
+and the start state of the pairwise walk all read it.  `spectrum_nafs`
+is the one spectrum formula.  A sequence shorter than the others (D in
+a Turyn quadruple) is padded with trailing zeros, which leaves its NAF
+unchanged and makes the lags it lacks read 0.
 """
 
 from __future__ import annotations
@@ -142,12 +144,12 @@ def naf_rows(rows: np.ndarray) -> np.ndarray:
     return np.einsum("cj,csj->cs", windows[:, 0], windows[:, 1:])
 
 
-def naf_vanishes(rows, weights) -> np.ndarray:
-    """Per member i of a batch: sum_k weights[k] * N_{rows[k][i]}(s) = 0 at every s >= 1?
+def naf_sums(rows, weights) -> np.ndarray:
+    """sum_k weights[k] * N_{rows[k][i]}(s) for every member i of a batch and lag s = 1..L-1.
 
     `rows[k]` holds the k-th sequence of every member: a (count, L_k)
     {0, -1, +1} matrix, or `count` entry tuples.  Shorter sequences are
-    padded with trailing zeros.  Returns a (count,) bool array.
+    padded with trailing zeros.  Returns a (count, L - 1) int array.
     """
     length = max(len(seqs[0]) for seqs in rows)
     count = len(rows[0])
@@ -155,7 +157,15 @@ def naf_vanishes(rows, weights) -> np.ndarray:
     for k, seqs in enumerate(rows):
         padded[k, :, : len(seqs[0])] = seqs
     nafs = naf_rows(padded.reshape(-1, length)).reshape(len(rows), -1)
-    return ~np.any((np.asarray(weights) @ nafs).reshape(count, length - 1), axis=1)
+    return (np.asarray(weights) @ nafs).reshape(count, length - 1)
+
+
+def naf_vanishes(rows, weights) -> np.ndarray:
+    """Per member of a batch: does every weighted lag sum of `naf_sums` vanish?
+
+    Returns a (count,) bool array.
+    """
+    return ~np.any(naf_sums(rows, weights), axis=1)
 
 
 def spectrum_nafs(n0, nafs: np.ndarray, cos_table: np.ndarray) -> np.ndarray:

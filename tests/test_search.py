@@ -27,6 +27,7 @@ from conftest import (
     load_reference_codes,
     per_row_pairs,
     seed_lag_sum,
+    single_flips,
 )
 from turynseq.codec import decode, encode
 from turynseq.engine import PairDfs, fill_plan, full_plan, seed_plan
@@ -301,8 +302,9 @@ class TestWalkStartState:
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_seed_preset_resumes_the_seed_walk(self, n):
-        # Read off a seed, the start state equals the scan state the seed
-        # walk itself reached at that seed, in all five slots.
+        # Read off a seed, the start state equals the state the seed walk
+        # itself reached at that seed: all five scan slots, and P and U at
+        # every lag.
         h = default_head_len(n)
         eng = PairDfs(n, seed_plan(h))
         count = 0
@@ -310,6 +312,7 @@ class TestWalkStartState:
             seed = SeedQuad(*eng.snapshot(), h)
             resumed = PairDfs(n, fill_plan(n, h), preset=(seed.a, seed.b, seed.c, seed.d))
             assert resumed._fl[0] == eng._fl[-1]
+            assert (resumed._P, resumed._U) == (eng._P, eng._U)
             count += 1
         assert count == len(list(generate_seeds(SearchConfig(n=n))))
 
@@ -328,6 +331,23 @@ class TestWalkStartState:
             eng = PairDfs(n, fill_plan(n, h), preset=(seed.a, seed.b, c_row, d_row))
             symmetric = [int(all(r[i] == r[n - 1 - i] for i in range(h))) for r in (seed.a, seed.b)]
             assert list(eng._fl[0][:2]) == symmetric
+
+    def test_complete_preset_is_checked_as_a_tt(self, reference_codes):
+        # With an empty plan every product term is preset, so U = 0 and
+        # `preset_ok` is the TT condition itself: the walk yields once for
+        # every TT and never for a single-entry flip of one.
+        def leaves(rows):
+            eng = PairDfs(len(rows[0]), [], preset=[row.entries for row in rows])
+            return sum(1 for _ in eng.walk())
+
+        quads = [decode(code, 10) for code in reference_codes[10]]
+        quads += [decode(code, n) for n, code in PUBLISHED_CODES.items()]
+        assert len(quads) == 43 + 7
+        for quad in quads:
+            rows = (quad.a, quad.b, quad.c, quad.d)
+            assert leaves(rows) == 1, encode(quad, "full")
+            for r, k, flipped in single_flips(rows):
+                assert leaves(flipped) == 0, (encode(quad, "full"), r, k)
 
 
 class TestBuildPool:
@@ -1033,6 +1053,12 @@ class TestSearch:
         ck.write_text("seed_index=3\n")
         with pytest.raises(CheckpointError):
             search(cfg10(), checkpoint_path=str(ck), results_path=rs)
+        # A done flag other than 0 or 1 must not read as a finished run.
+        (tmp_path / "results.txt").write_text("")
+        for done in ("7", "-1"):
+            ck.write_text(f"config={cfg10().run_hash()}\nseed_index=0\ndone={done}\n")
+            with pytest.raises(CheckpointError, match="done must be 0 or 1"):
+                search(cfg10(), checkpoint_path=str(ck), results_path=rs)
 
 
 class TestKillAndResume:

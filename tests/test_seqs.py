@@ -18,12 +18,10 @@ from hypothesis import strategies as st
 from turynseq import (
     BinarySeq,
     TernarySeq,
-    concat,
-    half_combine,
     naf_all,
     spectrum_value,
 )
-from turynseq.seqs import naf_rows
+from turynseq.seqs import concat, half_combine, naf_rows
 
 
 def naf_oracle(entries, i):
