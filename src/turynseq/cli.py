@@ -101,13 +101,9 @@ def cmd_verify(args) -> int:
     failed = 0
     for label, quad in records:
         ok = verify_tt(quad)
-        canon = ok and is_canonical(quad)
-        sums = quad.row_sums()
-        flag = "yes" if ok else "no"
-        cflag = "yes" if canon else "no"
-        print(f"{label}: valid={flag} canonical={cflag} sums={sums}")
-        if not ok:
-            failed += 1
+        canon = "yes" if ok and is_canonical(quad) else "no"
+        print(f"{label}: valid={'yes' if ok else 'no'} canonical={canon} sums={quad.row_sums()}")
+        failed += not ok
     if failed:
         print(f"{failed} of {len(records)} records failed")
         return CHECK_FAILED

@@ -36,18 +36,20 @@ def encode(s: TurynQuad, form: str = "full") -> str:
     """Encode a quadruple as a hex string, in 'full' or 'compact' form."""
     if form not in ("full", "compact"):
         raise ValueError(f"unknown form {form!r}")
-    a, b, c, d = s.a.entries, s.b.entries, s.c.entries, s.d.entries
-    n = s.n
-    digits = []
-    for i in range(n - 1):
-        v = 8 * (a[i] < 0) + 4 * (b[i] < 0) + 2 * (c[i] < 0) + (d[i] < 0)
-        digits.append(_HEX[v])
-    last = 4 * (a[n - 1] < 0) + 2 * (b[n - 1] < 0) + (c[n - 1] < 0)
-    digits.append(_HEX[last])
-    code = "".join(digits)
-    if form == "compact":
-        if not is_canonical(s):
-            raise ValueError("compact form is defined for canonical quadruples only")
+    compact = form == "compact"
+    if compact and not is_canonical(s):
+        raise ValueError("compact form is defined for canonical quadruples only")
+    return _hex_code(s.a.entries, s.b.entries, s.c.entries, s.d.entries, compact)
+
+
+def _hex_code(a, b, c, d, compact: bool = False) -> str:
+    """`encode` on the entry sequences of A, B, C and D; `compact` needs a canonical quadruple."""
+    # zip stops at D's end; the last position packs A, B and C only.
+    code = "".join(
+        [_HEX[8 * (w < 0) + 4 * (x < 0) + 2 * (y < 0) + (z < 0)] for w, x, y, z in zip(a, b, c, d)]
+    )
+    code += _HEX[4 * (a[-1] < 0) + 2 * (b[-1] < 0) + (c[-1] < 0)]
+    if compact:
         if code[-1] != "1":  # canonical quadruples end in digit 1
             raise AssertionError(f"canonical quadruple encoded with h_n={code[-1]!r}")
         return code[:-1]
@@ -62,21 +64,15 @@ def decode(code: str, n: int, form: str | None = None) -> TurynQuad:
     """
     if n < 2:
         raise CodecError(f"n must be at least 2, got {n}")
+    lengths = {"full": n, "compact": n - 1}
     if form is None:
-        if len(code) == n:
-            form = "full"
-        elif len(code) == n - 1:
-            form = "compact"
-        else:
+        form = {n: "full", n - 1: "compact"}.get(len(code))
+        if form is None:
             raise CodecError(f"code has {len(code)} digits; expected {n} (full) or {n - 1} (compact)")
-    elif form == "full":
-        if len(code) != n:
-            raise CodecError(f"full-form code has {len(code)} digits; expected {n}")
-    elif form == "compact":
-        if len(code) != n - 1:
-            raise CodecError(f"compact-form code has {len(code)} digits; expected {n - 1}")
-    else:
+    elif form not in lengths:
         raise ValueError(f"unknown form {form!r}")
+    elif len(code) != lengths[form]:
+        raise CodecError(f"{form}-form code has {len(code)} digits; expected {lengths[form]}")
     for pos, ch in enumerate(code, start=1):
         if ch not in _HEX_VAL:
             raise CodecError(f"bad hex digit {ch!r} at position {pos}")

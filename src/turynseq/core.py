@@ -77,12 +77,7 @@ class TurynQuad:
         )
 
     def row_sums(self) -> tuple[int, int, int, int]:
-        return (
-            sum(self.a.entries),
-            sum(self.b.entries),
-            sum(self.c.entries),
-            sum(self.d.entries),
-        )
+        return tuple(sum(x.entries) for x in (self.a, self.b, self.c, self.d))
 
     def __str__(self) -> str:
         return f"({self.a}; {self.b}; {self.c}; {self.d})"
@@ -174,29 +169,17 @@ def g_apply(g: GroupElement, s: TurynQuad) -> TurynQuad:
     """
     if s.n % 2:
         raise ValueError(f"group action needs even n, got {s.n}")
-    e1, f1, e2, f2, e3, f3, e4, f4, w, t = g.bits
-    a, b, c, d = s.a, s.b, s.c, s.d
-    if t:
-        a, b, c, d = a.alternate(), b.alternate(), c.alternate(), d.alternate()
-    if w:
-        a, b = b, a
-    if f1:
-        a = a.reverse()
-    if e1:
-        a = a.negate()
-    if f2:
-        b = b.reverse()
-    if e2:
-        b = b.negate()
-    if f3:
-        c = c.reverse()
-    if e3:
-        c = c.negate()
-    if f4:
-        d = d.reverse()
-    if e4:
-        d = d.negate()
-    return TurynQuad(a, b, c, d)
+    rows = [s.a, s.b, s.c, s.d]
+    if g.bits[9]:
+        rows = [row.alternate() for row in rows]
+    if g.bits[8]:
+        rows[0], rows[1] = rows[1], rows[0]
+    # Bits 2i and 2i + 1 negate and reverse row i; the reversal applies first.
+    for i, row in enumerate(rows):
+        if g.bits[2 * i + 1]:
+            row = row.reverse()
+        rows[i] = row.negate() if g.bits[2 * i] else row
+    return TurynQuad(*rows)
 
 
 def all_elements():
@@ -314,8 +297,12 @@ def is_canonical(s: TurynQuad) -> bool:
     Clauses (i)-(v) split into one test per sequence; only (vi) ties
     two sequences together.
     """
-    a, b, c, d = s.a.entries, s.b.entries, s.c.entries, s.d.entries
-    n = s.n
+    return _canonical_entries(s.a.entries, s.b.entries, s.c.entries, s.d.entries)
+
+
+def _canonical_entries(a, b, c, d) -> bool:
+    """`is_canonical` on the entry sequences of A, B, C and D."""
+    n = len(a)
     if not (_ab_clause(a) and _ab_clause(b) and _c_clause(c) and _d_clause(d)):
         return False
     if n > 2:

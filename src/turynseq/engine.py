@@ -46,11 +46,14 @@ Engines are single-use: build one, run `walk` once.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .seqs import naf_sums
 
 _PAIR_ALL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_WEIGHT = (1, 1, 2, 2)
 
 
 def full_plan(n: int) -> list[tuple[int, int]]:
@@ -73,6 +76,33 @@ def fill_plan(n: int, head_len: int) -> list[tuple[int, int]]:
     return [(seq, k) for k in range(head_len + 1, n // 2 + 1) for seq in (0, 1)]
 
 
+@functools.lru_cache(maxsize=64)
+def _schedule(n, plan, filled):
+    """Plan items (seq, k, j1, j2) and schedules (seq, weight, j1, touches1, j2, touches2).
+
+    j2 = -1 marks D's middle entry; touches are the (partner, lag) pairs a
+    new entry meets, given `filled`, each row's preset positions.
+    """
+    filled = [list(row) for row in filled]
+
+    def touches(seq, j):
+        # High lags complete first and bind tightest, so check them first.
+        found = tuple(sorted(((p, abs(j - p)) for p in filled[seq]), key=lambda ps: -ps[1]))
+        filled[seq].append(j)
+        return found
+
+    items, sched = [], []
+    for seq, k in plan:
+        j1 = k - 1
+        j2 = n - k if seq < 3 else n - k - 1
+        if seq == 3 and j2 == j1:
+            j2 = -1
+        items.append((seq, k, j1, j2))
+        touches1 = touches(seq, j1)
+        sched.append((seq, _WEIGHT[seq], j1, touches1, j2, touches(seq, j2) if j2 >= 0 else ()))
+    return tuple(items), tuple(sched)
+
+
 class PairDfs:
     """One depth-first walk over a plan of symmetric-pair assignments."""
 
@@ -84,38 +114,21 @@ class PairDfs:
         self.rows = [[0] * n, [0] * n, [0] * n, [0] * (n - 1)]
         for seq, row in enumerate(preset):
             self.rows[seq] = [int(v) for v in row]
-        self._weight = (1, 1, 2, 2)
         # P[s] is the weighted NAF of the preset (0 = unset) at lag s >= 1; U[s],
         # that of all ones minus that of the support, counts the product terms
         # with an unset factor.  Each term set moves P[s] by w and lowers U[s]
         # by w, so a lag dead partway through the preset stays dead.
         members = [(r, abs(r), np.ones_like(r)) for r in map(np.array, self.rows)]
-        P, support, ones = naf_sums(members, self._weight)
+        P, support, ones = naf_sums(members, _WEIGHT)
         U = ones - support
         self._P, self._U = [0, *P.tolist()], [0, *U.tolist()]
         self.preset_ok = bool(np.all(abs(P) <= U))
-        # Plan items: (seq, step k, j1, j2) with j2 = -1 for the D middle entry.
-        # The filled positions at each depth depend only on the plan, so the
-        # (partner position, lag) pairs each new entry touches are precomputed.
-        self._plan = []
-        self._sched = []
-        filled = [[j for j, v in enumerate(row) if v] for row in self.rows]
-        for seq, k in plan:
-            j1 = k - 1
-            j2 = n - k if seq < 3 else n - k - 1
-            if seq == 3 and j2 == j1:
-                j2 = -1
-            self._plan.append((seq, k, j1, j2))
-            # High lags complete first and bind tightest, so check them first.
-            touches1 = tuple(sorted(((p, abs(j1 - p)) for p in filled[seq]), key=lambda ps: -ps[1]))
-            filled[seq].append(j1)
-            touches2 = ()
-            if j2 >= 0:
-                touches2 = tuple(
-                    sorted(((p, abs(j2 - p)) for p in filled[seq]), key=lambda ps: -ps[1])
-                )
-                filled[seq].append(j2)
-            self._sched.append((self.rows[seq], self._weight[seq], j1, touches1, j2, touches2))
+        # The filled positions at each depth depend only on the plan and the
+        # preset's positions, so every engine of the same shape shares one
+        # schedule; each binds its own rows to it.
+        filled = tuple(tuple(j for j, v in enumerate(row) if v) for row in self.rows)
+        self._plan, sched = _schedule(n, tuple(plan), filled)
+        self._sched = [(self.rows[seq], *rest) for seq, *rest in sched]
         # Flags: (sym_a, sym_b, antisym_c, d_scan_open, d_eps); one slot per
         # depth.  They start as the scan of the preset pairs with both entries
         # set; D's lone middle entry, zipped with itself, has product +1.

@@ -164,14 +164,8 @@ def brute_force_classes(n: int) -> tuple[int, ClassListing]:
         have = prof_n[ia][None, :] + prof_n
         for ib in range(rows_n.shape[0]):
             for ic, idx in cd_index.get(have[ib].tobytes(), ()):
-                quads.append(
-                    TurynQuad(
-                        BinarySeq(rows_n[ia]),
-                        BinarySeq(rows_n[ib]),
-                        BinarySeq(rows_n[ic]),
-                        BinarySeq(rows_d[idx]),
-                    )
-                )
+                rows = (rows_n[ia], rows_n[ib], rows_n[ic], rows_d[idx])
+                quads.append(TurynQuad(*map(BinarySeq, rows)))
     for quad in quads:
         if not verify_tt(quad):
             raise RuntimeError(f"profile index produced an invalid quadruple: {quad}")
@@ -227,8 +221,4 @@ def realizability_report(
 
 def max_initial_zeros(listing: ClassListing) -> int:
     """Largest run of leading zero digits over the listing's compact codes."""
-    best = 0
-    for code in listing.codes:
-        run = len(code) - len(code.lstrip("0"))
-        best = max(best, run)
-    return best
+    return max((len(code) - len(code.lstrip("0")) for code in listing.codes), default=0)

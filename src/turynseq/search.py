@@ -44,39 +44,35 @@ fixed, A and B are independent: the quadruple is valid exactly when
 
     N_A(s) + N_B(s) = T(s) = -2 (N_C(s) + N_D(s))   for s = 1..n-1.
 
-For each A boundary, a table holds the full A rows over the 2^m middles
-(m = n - 2 head_len) that pass A's own clauses and have one of the A
-sums of the run's targets, with their NAF vectors and an integer hash
-of each under a fixed linear projection, sorted by hash; B's tables are
-built the same way, and A and B share them when their sums match.
-For all spectrum-passing (C, D) pairs of the seed at once,
-hash(T) - hash(N_B) is looked up among A's hashes, and every
-match is confirmed by exact NAF equality.  All of a seed's hits are
-then checked together, by the identity `verify_tt` tests (weights 1, 1,
-2, 2, D padded by a trailing zero), and a failure raises.  No solution
-is lost: every canonical quadruple passes the clauses; every TT's row
-sums form a signed target, so a row whose sum no target of the run
-gives is in no quadruple the run keeps; the projection is linear, so
-each exact solution has matching hashes, and a hash collision fails the
-exact equality.  Every hit still passes that check and `is_canonical`.
+For each A (or B) boundary, a table holds the rows over the 2^m middles
+(m = n - 2 head_len) that pass the row's own clauses and have one of
+its sums in the run's targets, with their NAFs and an integer hash of
+each under a fixed linear projection, sorted by hash; A and B share a
+table when their sums match.  Seed by seed, hash(T) - hash(N_B) is
+looked up among A's hashes for all (C, D) pairs at once, and every
+match is confirmed by exact NAF equality.  No solution is lost: every
+canonical quadruple passes the clauses; every TT's row sums form a
+signed target; the projection is linear, so each exact solution has
+matching hashes, and a hash collision fails the exact equality.
 
-Tables have 2^m rows, so the join serves m <= 16 (n <= 28 at the
-default head_len).  Longer middles (m = 24 at n = 38 with its 7-wide
-boundary) are filled instead by the pairwise walk, with the remaining lag
-constraints and the canonical prefix pruning enforced; it too keeps
-every canonical completion.  Both paths end in one tail: it keeps the
-A and B rows of the run's sums (the tables hold no others), emits in
-the walk's order, and makes the one batched check above.
+The join serves m <= 16 (n <= 28 at the default head_len).  Longer
+middles (m = 24 at n = 38) are filled by the pairwise walk, with the
+remaining lag constraints and the canonical prefix pruning, which also
+keeps every canonical completion.  Both paths end in one tail per
+(C, D) group of seeds: it keeps the A and B rows of the run's sums,
+orders seed by seed in the walk's order, checks all the group's
+completions at once by the identity `verify_tt` tests (weights 1, 1,
+2, 2, D padded by a trailing zero), raising on a failure, and then
+applies the canonical test.
 
-`search` is the one driver.  A config with `squares` hunts one signed
-row-sum target: its seeds stream lazily in generation order.  A config
-without `squares` sweeps every target (`enumerate_canonical` runs it),
-with the seeds sorted by their (C, D) bucket keys, each key a group
-whose pairs are screened once.  Either way one `_SeedWork` per process
-holds every bucket and table the run builds, and the run is a stream of
-hit lists for (group, seed) items in order, computed in this process or
-in one pool of worker processes; its checkpoint counts the items done
-in that order, so a sweep stops, resumes and slices like a hunt.
+`search` is the one driver.  A hunt (a config with `squares`) streams
+its seeds lazily in generation order, one seed per run.  A sweep (no
+`squares`; `enumerate_canonical` runs it) sorts its seeds by their
+(C, D) bucket keys, and each key's seeds form one run, whose pairs are
+screened once.  One `_SeedWork` per process holds every bucket and
+table the run builds.  The run yields one hit list per seed, and its
+checkpoint counts the seeds done in that order, so a sweep stops,
+resumes and slices like a hunt.
 """
 
 from __future__ import annotations
@@ -91,8 +87,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import encode, read_listing, write_listing
-from .core import TurynQuad, _clause_mask, is_canonical
+from .codec import _hex_code, read_listing, write_listing
+from .core import TurynQuad, _canonical_entries, _clause_mask
 from .engine import PairDfs, fill_plan, seed_plan
 from .enumeration import (
     ClassListing,
@@ -260,6 +256,11 @@ def generate_seeds(cfg: SearchConfig):
         yield SeedQuad(a, b, c, d, cfg.head_len)
 
 
+def _group_key(seed: SeedQuad):
+    """A seed's (C key, D key): seeds sharing it share their (C, D) pairs."""
+    return seed.key("C"), seed.key("D")
+
+
 @dataclass(frozen=True)
 class PoolBucket:
     """Candidate rows sharing one boundary pattern, with their NAFs and coarse spectra."""
@@ -296,7 +297,8 @@ def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
             if row[j] != seed_row[j]:
                 raise ValueError(f"{name} boundary entry {j} differs from the seed")
     pairs = _pair_block(np.array([c.entries], np.int8), np.array([d.entries], np.int8))
-    return _SeedWork(SearchConfig(seed.n, head_len=seed.head_len))._completions(seed, pairs)
+    _, quads = _SeedWork(SearchConfig(seed.n, head_len=seed.head_len))._completions([seed], pairs)
+    return (TurynQuad(*map(BinarySeq, rows)) for rows in zip(*(q.tolist() for q in quads)))
 
 
 def _walk(seed: SeedQuad, c_rows, d_rows):
@@ -381,7 +383,7 @@ def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray
 
 
 class _SeedWork:
-    """One process's rows and state for the hits of (group, seed) work items.
+    """One process's rows and state for the hits of runs of seeds.
 
     The run's targets are `cfg.squares`, or every signed target when it
     is None.  `sums` maps each kind "A".."D" to the sorted row sums they
@@ -392,7 +394,6 @@ class _SeedWork:
     and the A and B join tables by (sums, boundary), so A and B share a
     table when their sums match (a sweep, or a hunt with a = b); each is
     built on first use, None when no row passes, and kept for the run.
-    The (C, D) pair cache is dropped whenever the group changes.
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -405,7 +406,6 @@ class _SeedWork:
         for t in targets:
             self.live[t.c + n, t.d + n] = True
         self.store: dict = {}
-        self.group = None
         self.pair_cache: dict = {}
 
     def rows(self, kind: str, key):
@@ -521,57 +521,66 @@ class _SeedWork:
         ip, ia, ib = map(np.concatenate, zip(*found))
         return ip, rows_a[ia], rows_b[ib]
 
-    def _completions(self, seed: SeedQuad, pairs: _Pairs):
-        """Verified completions of the A and B middles for each (C, D) pair.
+    def _completions(self, seeds, pairs: _Pairs):
+        """(seed slot, [A, B, C, D rows]) of the verified completions of seeds sharing `pairs`.
 
         Middles of up to `_JOIN_MAX_MIDDLE` entries are joined, longer ones
-        walked; one tail serves both.  It keeps only A and B rows of the
-        kinds' sums (the tables hold no others), yields in the walk's order
-        (pair by pair), so results and `stop_after` do not depend on the
-        path, and checks every completion in one `naf_vanishes` call with
-        the weights of `verify_tt`, raising if any fails.
+        walked, seed by seed; one tail serves the run.  It keeps only A and
+        B rows of the kinds' sums (the tables hold no others), sorts seed
+        by seed into the walk's order (pair by pair), so results and
+        `stop_after` do not depend on the path, and checks every completion
+        in one `naf_vanishes` call with the weights of `verify_tt`.  Without
+        a completion it returns no slots and no rows.
         """
-        h, n = seed.head_len, seed.n
-        if n - 2 * h > _JOIN_MAX_MIDDLE:
-            ip, a, b = _walk(seed, pairs.c_rows, pairs.d_rows)
-        else:
-            ip, a, b = self._join(seed, pairs)
-        if len(ip):
+        h, n = seeds[0].head_len, seeds[0].n
+        parts = []
+        for slot, seed in enumerate(seeds):
+            if n - 2 * h > _JOIN_MAX_MIDDLE:
+                ip, a, b = _walk(seed, pairs.c_rows, pairs.d_rows)
+            else:
+                ip, a, b = self._join(seed, pairs)
+            if len(ip):
+                parts.append((np.full(len(ip), slot, np.intp), ip, a, b))
+        if parts:
+            slot, ip, a, b = (np.concatenate(part) for part in zip(*parts))
             keep = (a.sum(axis=1)[:, None] == self.sums["A"]).any(axis=1)
             keep &= (b.sum(axis=1)[:, None] == self.sums["B"]).any(axis=1)
-            ip, a, b = ip[keep], a[keep], b[keep]
-        if not len(ip):
-            return
-        # The walk's order: pair by pair, then the middles of A and B from the
-        # outside in, +1 before -1 at each step (np.lexsort's last key leads).
+            slot, ip, a, b = slot[keep], ip[keep], a[keep], b[keep]
+        if not parts or not len(ip):
+            return np.empty(0, np.intp), []
+        # Seed by seed, pair by pair, then the walk's order: the middles of A and
+        # B from the outside in, +1 before -1 (np.lexsort's last key leads).
         k = np.arange(h, n // 2)
         steps = np.stack([a[:, k], a[:, -1 - k], b[:, k], b[:, -1 - k]], axis=2)
         steps = steps.reshape(len(ip), -1)
-        order = np.lexsort([*(-steps.T[::-1]), ip])
+        order = np.lexsort([*(-steps.T[::-1]), ip, slot])
         quads = [a[order], b[order], pairs.c_rows[ip[order]], pairs.d_rows[ip[order]]]
         valid = naf_vanishes(quads, (1, 1, 2, 2))
         if not valid.all():
             bad = TurynQuad(*(BinarySeq(rows[np.argmin(valid)].tolist()) for rows in quads))
             raise RuntimeError(f"A/B middle completion is not a Turyn-type quadruple: {bad}")
-        for entries in zip(*(rows.tolist() for rows in quads)):
-            yield TurynQuad(*map(BinarySeq, entries))
+        return slot[order], quads
 
-    def hits(self, item) -> list[str]:
-        """Compact codes of all canonical hits for one seed, in bucket order."""
-        group, seed = item
-        if group != self.group:
-            self.group, self.pair_cache = group, {}
-        key = (seed.key("C"), seed.key("D"))
+    def hits(self, run) -> list[list[str]]:
+        """Compact codes of the canonical hits of each seed of a run, in bucket order.
+
+        A run's seeds share one (C, D) key.  A sweep meets each key once, so
+        it caches only the current key's pairs; a hunt caches every key's.
+        """
+        key = _group_key(run[0])
         if key not in self.pair_cache:
+            if self.cfg.squares is None:
+                self.pair_cache.clear()
             self.pair_cache[key] = self._pairs(*key)
         pairs = self.pair_cache[key]
+        codes: list[list[str]] = [[] for _ in run]
         if pairs is None:
-            return []
-        return [
-            encode(quad, form="compact")
-            for quad in self._completions(seed, pairs)
-            if is_canonical(quad)
-        ]
+            return codes
+        slots, quads = self._completions(run, pairs)
+        for slot, *rows in zip(slots.tolist(), *(q.tolist() for q in quads)):
+            if _canonical_entries(*rows):
+                codes[slot].append(_hex_code(*rows, compact=True))
+        return codes
 
 
 _WORKER_STATE: dict = {}
@@ -581,30 +590,31 @@ def _init_worker(cfg):
     _WORKER_STATE["work"] = _SeedWork(cfg)
 
 
-def _worker_hits(item):
-    return _WORKER_STATE["work"].hits(item)
+def _worker_hits(run):
+    return _WORKER_STATE["work"].hits(run)
 
 
-def _hit_stream(items, cfg, jobs, chunksize):
-    """Yield the hit list of each (group, seed) item, in item order.
+def _hit_stream(runs, cfg, jobs, chunksize):
+    """Yield the hit list of each seed of `runs`, in seed order.
 
-    With `jobs == 1` an item is pulled only when its hits are wanted;
+    With `jobs == 1` a run is pulled only when its hits are wanted;
     otherwise one pool of worker processes, each with its own
-    `_SeedWork(cfg)`, takes items in chunks of `chunksize`.
+    `_SeedWork(cfg)`, takes runs in chunks of `chunksize`.
     """
     if jobs == 1:
-        yield from map(_SeedWork(cfg).hits, items)
+        yield from itertools.chain.from_iterable(map(_SeedWork(cfg).hits, runs))
         return
     from multiprocessing import Pool  # only parallel runs need it
 
     with Pool(jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
-        yield from pool.imap(_worker_hits, items, chunksize=chunksize)
+        yield from itertools.chain.from_iterable(pool.imap(_worker_hits, runs, chunksize))
 
 
-def _write_checkpoint(path, cfg, seed_index, done):
+def _write_checkpoint(path, cfg, seed_index, done, stopped_after=None):
+    stop = "" if stopped_after is None else f"stopped_after={stopped_after}\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write(f"config={cfg.run_hash()}\nseed_index={seed_index}\ndone={int(done)}\n")
+        fh.write(f"config={cfg.run_hash()}\nseed_index={seed_index}\ndone={int(done)}\n{stop}")
     os.replace(tmp, path)
 
 
@@ -622,6 +632,8 @@ def _read_checkpoint(path, cfg) -> tuple[int, bool]:
         config_hash = fields["config"]
         seed_index = int(fields["seed_index"])
         done = fields["done"]
+        # A run that stopped at its K-th hit is finished only for stop_after <= K.
+        stopped_after = int(fields.get("stopped_after", 0))
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if done not in ("0", "1"):
@@ -633,25 +645,30 @@ def _read_checkpoint(path, cfg) -> tuple[int, bool]:
         )
     if seed_index < 0:
         raise CheckpointError(f"negative seed index in {path}")
+    if stopped_after and (cfg.stop_after or math.inf) > stopped_after:
+        raise CheckpointError(
+            f"checkpoint {path} stopped after {stopped_after} hits; "
+            f"it cannot resume with stop_after={cfg.stop_after}"
+        )
     return seed_index, done == "1"
 
 
-def _work_items(cfg: SearchConfig, jobs: int):
-    """A run's (group, seed) items in checkpoint order, and their chunk size.
+def _work_items(cfg: SearchConfig, jobs: int, start: int, stop: int | None):
+    """The runs of seeds `start` to `stop` in checkpoint order, and their chunk size.
 
-    One target streams its seeds lazily in generation order, all in one
-    group.  Every target sorts the seeds by their (C, D) bucket keys, so
-    each bucket pair is screened once; its key is the group of its items.
+    One target streams its seeds lazily in generation order, one seed per
+    run.  Every target sorts the seeds by their (C, D) bucket keys and
+    takes each key's consecutive seeds as one run, so each bucket pair is
+    screened once and its seeds end in one completion tail.
     """
     if cfg.squares is not None:
-        return ((0, seed) for seed in generate_seeds(cfg)), _BATCH_SEEDS
-    seeds = list(generate_seeds(cfg))
-    groups = [(seed.key("C"), seed.key("D")) for seed in seeds]
-    items = sorted(zip(groups, seeds), key=lambda item: item[0])
-    # About four chunks per worker: whole bucket groups rarely split, and
-    # no worker waits long for the last chunk.
-    chunksize = max(1, -(-len(items) // (4 * jobs)))
-    return items, chunksize
+        seeds = itertools.islice(generate_seeds(cfg), start, stop)
+        return ([seed] for seed in seeds), _BATCH_SEEDS
+    seeds = sorted(generate_seeds(cfg), key=_group_key)[start:stop]
+    runs = [list(run) for _, run in itertools.groupby(seeds, key=_group_key)]
+    # About four chunks per worker, so no worker waits long for the last.
+    chunksize = max(1, -(-len(runs) // (4 * jobs)))
+    return runs, chunksize
 
 
 def search(
@@ -664,9 +681,10 @@ def search(
     """Run one configured search; returns the canonical hits as a sorted listing.
 
     Without `cfg.squares` the run sweeps every target, and the listing
-    holds every class at length n.  Seeds are processed one at a time,
-    so `cfg.stop_after` ends the run at the seed that yields the last
-    hit wanted.  New hits are appended to `results_path` in listing
+    holds every class at length n.  Hits are taken seed by seed, so
+    `cfg.stop_after` ends the run at the seed that yields the last hit
+    wanted; the checkpoint records that stop, and a resume with no
+    `stop_after`, or a larger one, is refused.  New hits are appended to `results_path` in listing
     format, in the order found.  With `checkpoint_path`, which needs
     `results_path`, the run records progress after every 256 seeds, at
     each seed with a new hit and at the end, always after the hits it
@@ -701,9 +719,8 @@ def search(
     if results_path and not resuming:
         Path(results_path).write_text(write_listing([], header=f"search {cfg.describe()}"))
 
-    items, chunksize = _work_items(cfg, jobs)
     stop = None if max_seeds_per_run is None else start + max_seeds_per_run
-    items = itertools.islice(items, start, stop)
+    runs, chunksize = _work_items(cfg, jobs, start, stop)
     processed = start
     new_codes: list[str] = []
 
@@ -715,10 +732,11 @@ def search(
                 fh.write(write_listing(list(enumerate(new_codes, start=base + 1))))
         new_codes.clear()
         if checkpoint_path:
-            _write_checkpoint(checkpoint_path, cfg, processed, done)
+            stopped_after = cfg.stop_after if stopped else None
+            _write_checkpoint(checkpoint_path, cfg, processed, done, stopped_after)
 
     stopped = False
-    for hits in _hit_stream(items, cfg, jobs, chunksize):
+    for hits in _hit_stream(runs, cfg, jobs, chunksize):
         processed += 1
         for code in hits:
             if code not in found and not stopped:

@@ -210,6 +210,26 @@ class TestSearch:
         assert rc == 0
         assert "n=10: 2 classes" in out
 
+    def test_stopped_hunt_refuses_a_larger_stop_after(self, capsys, tmp_path):
+        # It once printed "1 found" and exited 0; a fresh run finds 3.
+        cfg = tmp_path / "hunt.cfg"
+        cfg.write_text("n = 16\nsquares = 8, -2, 2, 3\n")
+        ck, hits = tmp_path / "ck.txt", tmp_path / "hits.txt"
+        argv = ["search", str(cfg), "--resume", str(ck), "--out", str(hits)]
+        rc, out, _ = run_cli(argv + ["--stop-after", "1"], capsys)
+        assert (rc, ": 1 found" in out) == (0, True)
+        rc, out, err = run_cli(argv + ["--stop-after", "3"], capsys)
+        assert rc == 2
+        assert "stopped after 1 hits" in err
+        assert "found" not in out
+        rc, out, _ = run_cli(argv + ["--stop-after", "1"], capsys)
+        assert (rc, ": 1 found" in out) == (0, True)
+        fresh = ["search", str(cfg), "--resume", str(tmp_path / "fresh.txt")]
+        fresh += ["--out", str(tmp_path / "fresh_hits.txt"), "--stop-after", "3"]
+        rc, out, _ = run_cli(fresh, capsys)
+        assert (rc, ": 3 found" in out) == (0, True)
+        assert "seed_index=199\n" in (tmp_path / "fresh.txt").read_text()
+
     def test_bad_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n=10\nsquares=1,2,3\n")

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turynseq.codec import CodecError, decode, encode, read_listing, write_listing
-from turynseq.core import TurynQuad, is_canonical, verify_tt
+from turynseq.codec import CodecError, _hex_code, decode, encode, read_listing, write_listing
+from turynseq.core import (
+    TurynQuad,
+    _canonical_entries,
+    all_elements,
+    g_apply,
+    is_canonical,
+    verify_tt,
+)
 
 from conftest import (
     KNOWN_LARGE_CODES,
@@ -22,7 +29,16 @@ from conftest import (
     load_reference_codes,
     load_reference_text,
     pm_quads,
+    single_flips,
 )
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
 
 N8_EXAMPLE = TurynQuad.from_pm("++-+-+-+", "+------+", "+--++++-", "+++-++-")
 TT2 = TurynQuad.from_pm("++", "++", "+-", "+")
@@ -48,6 +64,30 @@ class TestEncode:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             encode(TT2, "short")
+
+    def test_entry_rules_equal_is_canonical_and_encode(self):
+        # The search tests and encodes its hits from entry lists, through
+        # the same two functions that `is_canonical` and `encode` call:
+        # here on every group image of every TT(10) class and on every
+        # single-entry flip of the classes.
+        reps = [decode(code, 10) for code in load_reference_codes("reference_n10.txt")]
+        quads = []
+        for rep in reps:
+            quads += [g_apply(g, rep) for g in all_elements()]
+            rows = (rep.a, rep.b, rep.c, rep.d)
+            quads += [TurynQuad(*flipped) for _, _, flipped in single_flips(rows)]
+        canonical = set()
+        for quad in quads:
+            rows = [list(x.entries) for x in (quad.a, quad.b, quad.c, quad.d)]
+            assert _canonical_entries(*rows) == is_canonical(quad)
+            assert _hex_code(*rows) == encode(quad, "full")
+            if is_canonical(quad):
+                # A flip of c_n keeps the sign conditions but is no TT, and
+                # both refuse its compact code.
+                compact = outcome(_hex_code, *rows, compact=True)
+                assert compact == outcome(encode, quad, "compact")
+                canonical.add(quad)
+        assert {q for q in canonical if verify_tt(q)} == set(reps)
 
 
 class TestDecode:

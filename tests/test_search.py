@@ -74,6 +74,12 @@ def walked(seed: SeedQuad, c_rows, d_rows) -> list[TurynQuad]:
     return [TurynQuad(*map(BinarySeq, entries)) for entries in zip(*rows)]
 
 
+def as_quads(completions) -> list[TurynQuad]:
+    """The quadruples of a `_completions` result, in its order."""
+    _, quads = completions
+    return [TurynQuad(*map(BinarySeq, rows)) for rows in zip(*(q.tolist() for q in quads))]
+
+
 def every_bucket(work, kind: str) -> dict:
     """Build every C or D bucket of a run's row store; returns the non-empty ones by key."""
     h = work.cfg.head_len if kind == "C" else work.cfg.d_head_len
@@ -315,6 +321,18 @@ class TestWalkStartState:
             assert (resumed._P, resumed._U) == (eng._P, eng._U)
             count += 1
         assert count == len(list(generate_seeds(SearchConfig(n=n))))
+
+    def test_engines_of_one_shape_share_one_schedule(self):
+        # The touch schedule depends only on n, the plan and the preset's
+        # filled positions: every fill engine of a run shares one, and a
+        # preset with other filled positions gets its own.
+        n, h = 12, default_head_len(12)
+        plan = fill_plan(n, h)
+        seeds = list(generate_seeds(SearchConfig(n=n)))
+        engines = [PairDfs(n, plan, preset=(s.a, s.b, s.c, s.d)) for s in seeds]
+        assert all(eng._plan is engines[0]._plan for eng in engines)
+        full_cd = (seeds[0].a, seeds[0].b, (1,) * n, (1,) * (n - 1))
+        assert PairDfs(n, plan, preset=full_cd)._plan is not engines[0]._plan
 
     @pytest.mark.parametrize("n", [10, 12, 30, 32, 34, 36, 38])
     def test_fill_start_is_the_boundary_symmetry_of_a_and_b(self, n):
@@ -695,7 +713,7 @@ class TestJoin:
         c_rows, d_rows = (np.array([row.entries], np.int8) for row in (quad.c, quad.d))
         pairs = search_module._pair_block(c_rows, d_rows)
         work = search_module._SeedWork(SearchConfig(n=n, head_len=head_len))
-        joined = list(work._completions(seed, pairs))
+        joined = as_quads(work._completions([seed], pairs))
         assert quad in joined
         assert joined == walked(seed, c_rows, d_rows)
 
@@ -721,7 +739,7 @@ class TestJoin:
                 c_rows = np.repeat(c_full_rows, len(d_full_rows), axis=0)
                 d_rows = np.tile(d_full_rows, (len(c_full_rows), 1))
                 pairs = search_module._pair_block(c_rows, d_rows)
-                joined = list(work._completions(seed, pairs))
+                joined = as_quads(work._completions([seed], pairs))
                 assert joined == walked(seed, c_rows, d_rows)
                 compared += len(joined)
         # 116 completions; 17 share their (C, D) pair with an earlier one.
@@ -737,9 +755,9 @@ class TestJoin:
         real_completions = search_module._SeedWork._completions
 
         def recording(*args):
-            for quad in real_completions(*args):
-                joined.append(quad)
-                yield quad
+            result = real_completions(*args)
+            joined.extend(as_quads(result))
+            return result
 
         monkeypatch.setattr(search_module._SeedWork, "_completions", recording)
         assert len(sweep(n)) == REFERENCE_COUNTS[n]
@@ -762,7 +780,7 @@ class TestJoin:
         pairs = search_module._pair_block(c_rows, d_rows)
         work = search_module._SeedWork(SearchConfig(30, squares=quad.row_sums()))
         with pytest.raises(RuntimeError, match=message):
-            list(work._completions(seed, pairs))
+            work._completions([seed], pairs)
 
     def test_hash_collisions_are_settled_exactly(self, monkeypatch, reference_codes):
         # An all-zero projection makes every pair and row collide.
@@ -789,7 +807,7 @@ class TestJoin:
         pairs = search_module._pair_block(c_rows, d_rows)
         for squares, expected in ((quad.row_sums(), [quad]), (flipped, [])):
             work = search_module._SeedWork(SearchConfig(n, squares=squares))
-            assert list(work._completions(seed, pairs)) == expected, squares
+            assert as_quads(work._completions([seed], pairs)) == expected, squares
 
     def test_row_sum_targets_filter_before_verify(self, monkeypatch):
         # With (c, d) = (4, 3) the sums of A and B are fixed only up to
@@ -851,7 +869,8 @@ class TestPairScreen:
 
     def test_sweep_screens_each_bucket_pair_once(self, monkeypatch):
         # n=12 has 72 seeds naming 24 (C, D) bucket pairs; a pass per
-        # target made 864 joins and 288 pair blocks.
+        # target made 864 joins and 288 pair blocks, and a tail per seed
+        # made 72 tails.
         calls = {"_completions": 0, "_pair_block": 0}
         owners = {"_completions": search_module._SeedWork, "_pair_block": search_module}
         for name, owner in owners.items():
@@ -863,7 +882,7 @@ class TestPairScreen:
 
             monkeypatch.setattr(owner, name, counting)
         assert len(sweep(12)) == 127
-        assert calls["_completions"] <= 72
+        assert calls["_completions"] <= 24
         assert calls["_pair_block"] <= 24
 
 
@@ -914,6 +933,53 @@ class TestSearch:
             again = search(cfg, checkpoint_path=str(ck), results_path=str(rs))
             assert again == one_shot
 
+    def test_sweep_slices_that_cut_groups_resume_to_the_same_files(self, tmp_path):
+        # Slices of 5 seeds end inside (C, D) groups, whose seeds otherwise
+        # share one completion tail.
+        cfg = SearchConfig(n=14)
+        runs, _ = search_module._work_items(cfg, 1, 0, None)
+        ends = set(itertools.accumulate(map(len, runs)))
+        total = max(ends)
+        assert any(cut not in ends for cut in range(5, total, 5))
+        whole_ck, whole_rs = tmp_path / "whole.ckpt", tmp_path / "whole.txt"
+        whole = search(cfg, checkpoint_path=str(whole_ck), results_path=str(whole_rs))
+        ck, rs = tmp_path / "sliced.ckpt", tmp_path / "sliced.txt"
+        for calls in range(1, total):
+            sliced = search(
+                cfg, checkpoint_path=str(ck), results_path=str(rs), max_seeds_per_run=5
+            )
+            if checkpoint_fields(ck)["done"] == "1":
+                break
+        assert calls == -(-total // 5)
+        assert len(whole) == REFERENCE_COUNTS[14]
+        assert sliced == whole
+        assert rs.read_bytes() == whole_rs.read_bytes()
+        assert ck.read_bytes() == whole_ck.read_bytes()
+
+    def test_stopped_hunt_resumes_only_with_a_stop_no_larger(self, tmp_path):
+        # A stop once wrote done=1 alone, so a resume with stop_after 3
+        # returned the 1 hit found as if the run had finished.
+        squares = Decomposition(8, -2, 2, 3)
+        ck, rs = tmp_path / "checkpoint.txt", tmp_path / "results.txt"
+        paths = {"checkpoint_path": str(ck), "results_path": str(rs)}
+        first = search(SearchConfig(n=16, squares=squares, stop_after=1), **paths)
+        assert len(first) == 1
+        assert checkpoint_fields(ck) == {
+            "config": SearchConfig(n=16, squares=squares).run_hash(),
+            "seed_index": "65",
+            "done": "1",
+            "stopped_after": "1",
+        }
+        before = (ck.read_bytes(), rs.read_bytes())
+        for stop_after in (3, None):
+            with pytest.raises(CheckpointError, match="stopped after 1 hits"):
+                search(SearchConfig(n=16, squares=squares, stop_after=stop_after), **paths)
+            assert (ck.read_bytes(), rs.read_bytes()) == before
+        assert search(SearchConfig(n=16, squares=squares, stop_after=1), **paths) == first
+        fresh = search(SearchConfig(n=16, squares=squares, stop_after=3))
+        assert len(fresh) == 3
+        assert set(first.codes) < set(fresh.codes)
+
     def test_checkpoint_is_not_rewritten_after_every_seed(self, tmp_path, monkeypatch):
         # Hits not yet saved once kept every later seed saving when there
         # was no results file (1,483 writes for 1,546 seeds, against 24);
@@ -921,9 +987,9 @@ class TestSearch:
         writes = []
         real_write = search_module._write_checkpoint
 
-        def counting(path, cfg, seed_index, done):
+        def counting(path, cfg, seed_index, *rest):
             writes.append(seed_index)
-            real_write(path, cfg, seed_index, done)
+            real_write(path, cfg, seed_index, *rest)
 
         monkeypatch.setattr(search_module, "_write_checkpoint", counting)
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
@@ -1053,6 +1119,9 @@ class TestSearch:
         ck.write_text("seed_index=3\n")
         with pytest.raises(CheckpointError):
             search(cfg10(), checkpoint_path=str(ck), results_path=rs)
+        ck.write_text(f"config={cfg10().run_hash()}\nseed_index=0\ndone=1\nstopped_after=x\n")
+        with pytest.raises(CheckpointError, match="unreadable"):
+            search(cfg10(stop_after=1), checkpoint_path=str(ck), results_path=rs)
         # A done flag other than 0 or 1 must not read as a finished run.
         (tmp_path / "results.txt").write_text("")
         for done in ("7", "-1"):
@@ -1132,6 +1201,21 @@ class TestKillAndResume:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_a_run_hits_as_its_seeds_one_by_one(self, n):
+        # One completion tail per (C, D) group gives each seed the codes,
+        # in the order, that a tail of its own gives it.
+        cfg = SearchConfig(n=n)
+        runs, _ = search_module._work_items(cfg, 1, 0, None)
+        work = search_module._SeedWork(cfg)
+        hits = 0
+        for run in runs:
+            by_run = work.hits(run)
+            assert by_run == [work.hits([seed])[0] for seed in run]
+            hits += sum(map(len, by_run))
+        assert len(runs) < sum(map(len, runs))
+        assert hits == REFERENCE_COUNTS[n]
+
     def test_config_sweep_covers_signed_variants(self):
         squares = SIGNED_SQUARES(38)
         assert Decomposition(8, -4, 8, -3) in squares
