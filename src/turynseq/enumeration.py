@@ -13,6 +13,7 @@ ingredient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,11 +131,14 @@ def enumerate_canonical(n: int, jobs: int = 1) -> ClassListing:
     return search(SearchConfig(n=n), jobs=jobs)
 
 
+@functools.cache
 def _pm_rows(length: int) -> np.ndarray:
-    """All 2^length rows over {-1, +1} as an int8 matrix, index = bit pattern."""
+    """All 2^length rows over {-1, +1} as a read-only int8 matrix, index = bit pattern."""
     ints = np.arange(1 << length, dtype=np.uint32)
     bits = (ints[:, None] >> np.arange(length, dtype=np.uint32)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    rows = (1 - 2 * bits).astype(np.int8)
+    rows.flags.writeable = False
+    return rows
 
 
 def brute_force_classes(n: int) -> tuple[int, ClassListing]:

@@ -26,12 +26,13 @@ valid (C, D) pair by f_C + f_D <= (6n - 2)/2.  The bound is derived
 from n, not chosen: a lower one loses solutions and a higher one only
 costs time.  The clauses are tested first, so a dropped row costs no
 spectrum.  A bucket is built, from its middle entries alone, when a
-seed first names its boundary, and keeps each row's NAF and its
+block of seeds first names its boundary, in one pass with the block's
+other new buckets of its kind, and keeps each row's NAF and its
 spectrum on every 16th grid point only.
 
-The (C, D) pairs of a bucket pair are screened in fixed-size blocks:
-first by their sums, then on the coarse points, then on the full grid
-by the spectrum of N_C + N_D with N(0) = 2n - 1.  No solution is lost:
+The (C, D) pairs of a block's bucket pairs are screened together, in
+fixed-size parts: first by their sums, then on the coarse points, then
+on the full grid by the spectrum of N_C + N_D with N(0) = 2n - 1.  No solution is lost:
 any TT has a^2 + b^2 + 2c^2 + 2d^2 = 6n - 2, so its (c, d) is a
 target of the run; the coarse values are those of the full grid, so a
 coarse reject is a full-grid reject; and f is linear in the NAF, so the
@@ -48,31 +49,33 @@ For each A (or B) boundary, a table holds the rows over the 2^m middles
 (m = n - 2 head_len) that pass the row's own clauses and have one of
 its sums in the run's targets, with their NAFs and an integer hash of
 each under a fixed linear projection, sorted by hash; A and B share a
-table when their sums match.  Seed by seed, hash(T) - hash(N_B) is
-looked up among A's hashes for all (C, D) pairs at once, and every
-match is confirmed by exact NAF equality.  No solution is lost: every
-canonical quadruple passes the clauses; every TT's row sums form a
-signed target; the projection is linear, so each exact solution has
+table when their sums match.  For each (A, B) table pair a block
+names, hash(T) - hash(N_B) is looked up among A's hashes for the
+(C, D) pairs of all its seeds at once, and every match is confirmed
+by exact NAF equality.  No solution is lost: every canonical
+quadruple passes the clauses; every TT's row sums form a signed
+target; the projection is linear, so each exact solution has
 matching hashes, and a hash collision fails the exact equality.
 
 The join serves m <= 16 (n <= 28 at the default head_len).  Longer
 middles (m = 24 at n = 38) are filled by the pairwise walk, with the
 remaining lag constraints and the canonical prefix pruning, which also
 keeps every canonical completion.  Both paths end in one tail per
-(C, D) group of seeds: it keeps the A and B rows of the run's sums,
-orders seed by seed in the walk's order, checks all the group's
-completions at once by the identity `verify_tt` tests (weights 1, 1,
-2, 2, D padded by a trailing zero), raising on a failure, and then
-applies the canonical test.
+block: it keeps the A and B rows of the run's sums, orders seed by
+seed in the walk's order, checks all the block's completions at once
+by the identity `verify_tt` tests (weights 1, 1, 2, 2, D padded by a
+trailing zero), raising on a failure, and then applies the canonical
+test.  Each seed gets exactly the hits a block of its own gives it.
 
-`search` is the one driver.  A hunt (a config with `squares`) streams
-its seeds lazily in generation order, one seed per run.  A sweep (no
-`squares`; `enumerate_canonical` runs it) sorts its seeds by their
-(C, D) bucket keys, and each key's seeds form one run, whose pairs are
-screened once.  One `_SeedWork` per process holds every bucket and
-table the run builds.  The run yields one hit list per seed, and its
-checkpoint counts the seeds done in that order, so a sweep stops,
-resumes and slices like a hunt.
+`search` runs every search, and its unit of work is a block of seeds.
+A hunt (a config with `squares`) streams its seeds lazily in
+generation order, one seed per block.  A sweep (no `squares`;
+`enumerate_canonical` runs it) sorts its seeds by their (C, D) bucket
+keys and cuts them into blocks of whole runs of one key, each closed
+at about `_BATCH_SEEDS` seeds.  One `_SeedWork` per process holds
+every bucket and table the run builds.  The run yields one hit list
+per seed, and its checkpoint counts the seeds done in that order, so a
+sweep stops, resumes and slices like a hunt, also inside a block.
 """
 
 from __future__ import annotations
@@ -104,13 +107,23 @@ _SPECTRAL_TOL = 1e-6
 _GRID_POINTS = 600
 _BATCH_SEEDS = 256
 _CAP_ROWS = 5_000_000
+# Candidate rows per chunk of a bucket pass.  Its spectra (4.9 MB at
+# most) are freed chunk by chunk; glibc then serves from mmap only blocks
+# larger than those, so a large growing bucket array is remapped, not
+# copied: the TT(38) seed's D bucket (96 MB) peaked at 177-214 MB of RSS
+# with 4,096-row chunks and at 128-129 MB with these.
+_CHUNK_ROWS = 1024
+# The bytes of screened (C, D) pairs a hunt keeps for the keys it meets again.
+_PAIR_CACHE_BYTES = 64 << 20
 # Middles of up to this many entries are completed by the NAF join; its
 # A and B tables hold 2^m rows each, so longer middles are walked.
 _JOIN_MAX_MIDDLE = 16
-# The (C, D) pair screen: pairs per block, and the stride of the coarse
-# sub-grid tried before the full one.
+# The (C, D) pair screen: pairs per block, the stride of the coarse
+# sub-grid tried before the full one, and the pairs whose full spectra
+# (600 floats each) are computed at once.
 _PAIR_BLOCK = 512
 _COARSE_STEP = 16
+_SPECTRUM_ROWS = 64
 # (C, D) pairs x B rows looked up at once in the A/B join.
 _JOIN_BLOCK = 1 << 16
 
@@ -276,9 +289,32 @@ class PoolBucket:
 
 @functools.cache
 def _cos_table(length: int) -> np.ndarray:
-    """cos(s theta_j) for the lags s = 0..length-1 (rows) on the fixed grid (columns)."""
+    """cos(s theta_j) for the lags s = 0..length-1 (rows) on the fixed grid (columns), read-only."""
     grid = np.arange(1, _GRID_POINTS + 1) * (np.pi / _GRID_POINTS)
-    return np.cos(np.arange(length)[:, None] * grid)
+    table = np.cos(np.arange(length)[:, None] * grid)
+    table.flags.writeable = False
+    return table
+
+
+def _stack(buckets: dict) -> tuple[PoolBucket, dict]:
+    """One bucket of the rows of `buckets` in order, and each key's (first row, row count) in it."""
+    counts = [len(bucket.rows) for bucket in buckets.values()]
+    at = dict(zip(buckets, zip(itertools.accumulate(counts, initial=0), counts)))
+    if len(buckets) == 1:
+        return next(iter(buckets.values())), at
+    fields = zip(*((b.rows, b.nafs, b.coarse) for b in buckets.values()))
+    return PoolBucket(*map(np.concatenate, fields)), at
+
+
+def _extend(array: np.ndarray, part: np.ndarray) -> None:
+    """Append the rows of `part` to `array`, growing it in place.
+
+    numpy grows it by realloc, which remaps a large block's pages instead
+    of copying them, so a large array is not held twice while it grows.
+    """
+    count = len(array)
+    array.resize((count + len(part), *array.shape[1:]), refcheck=False)
+    array[count:] = part
 
 
 def fill_middle(seed: SeedQuad, c: BinarySeq, d: BinarySeq):
@@ -329,17 +365,29 @@ class _Pairs(NamedTuple):
     target_hash: np.ndarray  # (P,) int64
 
 
+@functools.cache
 def _hash_weights(count: int) -> np.ndarray:
-    """The fixed projection that hashes a NAF vector: `count` int64 weights.
+    """The fixed projection that hashes a NAF vector: `count` int64 weights, read-only.
 
-    Built by integer arithmetic (importing numpy.random costs start-up
-    time and memory).  int64 array arithmetic wraps modulo 2^64, which
-    keeps the hash linear whatever the length.
+    Weight s is the splitmix64 mix of s + 1, built by integer arithmetic
+    (importing numpy.random costs start-up time and memory).  Unmixed
+    multiples of one constant form an arithmetic progression modulo
+    2^62, whose small integer combinations such as (1, -2, 1) vanish
+    modulo 2^64, and NAF differences are such combinations: about half
+    of a table's distinct NAFs shared a hash with another at n = 16.
+    int64 array arithmetic wraps modulo 2^64, which keeps the hash
+    linear whatever the length.
     """
-    return np.array(
-        [((s + 1) * 0x9E3779B97F4A7C15 >> 2) & ((1 << 62) - 1) for s in range(count)],
-        dtype=np.int64,
-    )
+    mask = (1 << 64) - 1
+    mixed = []
+    for s in range(count):
+        z = (s + 1) * 0x9E3779B97F4A7C15 & mask
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        mixed.append((z ^ z >> 31) >> 2)
+    weights = np.array(mixed, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def _pair_block(c_rows: np.ndarray, d_rows: np.ndarray, nafs=None) -> _Pairs:
@@ -352,38 +400,54 @@ def _pair_block(c_rows: np.ndarray, d_rows: np.ndarray, nafs=None) -> _Pairs:
     return _Pairs(c_rows, d_rows, target, target @ _hash_weights(target.shape[1]))
 
 
-def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, live: np.ndarray, limit: float):
-    """Row indices (ic, id) of the bucket pairs kept for the join, row-major, and N_C + N_D.
+def _spectral_pairs(c_bucket: PoolBucket, d_bucket: PoolBucket, spans, live, limit: float):
+    """Row indices (ic, id) of the bucket pairs kept for the join, N_C + N_D, and span bounds.
 
-    A pair is kept when its (sum C, sum D) is marked in `live` (indexed
-    by sum + n) and f_C + f_D <= `limit` at every grid point: first on
-    the coarse points, then as the spectrum of N_C + N_D (D padded by a
-    trailing zero), in blocks of `_PAIR_BLOCK` pairs.
+    Each span is one bucket pair, (C start, C count, D start, D count):
+    rows of `c_bucket` and `d_bucket`, which may each stack several
+    buckets.  Pairs are numbered span by span, row-major within a span,
+    and all spans are screened together in that order; span g keeps the
+    pairs bounds[g] to bounds[g + 1] - 1.  A pair is kept when its
+    (sum C, sum D) is marked in `live` (indexed by sum + n) and
+    f_C + f_D <= `limit` at every grid point: first on the coarse points,
+    in blocks of `_PAIR_BLOCK` numbers, then, for the pairs left, as the
+    spectrum of N_C + N_D (D padded by a trailing zero), in blocks of
+    `_SPECTRUM_ROWS` pairs.
     """
     n = c_bucket.rows.shape[1]
-    count_d = len(d_bucket.rows)
-    total = len(c_bucket.rows) * count_d
     offset = live.shape[0] // 2
     sums_c = c_bucket.rows.sum(axis=1) + offset
     sums_d = d_bucket.rows.sum(axis=1) + offset
-    kept = []
-    for start in range(0, total, _PAIR_BLOCK):
-        ic, id_ = np.divmod(np.arange(start, min(start + _PAIR_BLOCK, total)), count_d)
+    c_start, c_count, d_start, d_count = np.array(spans, np.intp).T
+    bounds = np.concatenate([[0], np.cumsum(c_count * d_count)])
+
+    def rows(pair):
+        span = np.searchsorted(bounds, pair, "right") - 1
+        ic, id_ = np.divmod(pair - bounds[span], d_count[span])
+        return ic + c_start[span], id_ + d_start[span]
+
+    # The few pairs left by the coarse points are collected by number.
+    coarse_kept = np.empty(0, np.intp)
+    for first in range(0, bounds[-1], _PAIR_BLOCK):
+        pair = np.arange(first, min(first + _PAIR_BLOCK, bounds[-1]))
+        ic, id_ = rows(pair)
         keep = live[sums_c[ic], sums_d[id_]]
-        ic, id_ = ic[keep], id_[keep]
+        pair, ic, id_ = pair[keep], ic[keep], id_[keep]
         coarse = c_bucket.coarse[ic]
         coarse += d_bucket.coarse[id_]
-        keep = coarse.max(axis=1) <= limit
-        ic, id_ = ic[keep], id_[keep]
-        nafs = c_bucket.nafs[ic]
-        nafs[:, :-1] += d_bucket.nafs[id_]
-        keep = spectrum_nafs(2 * n - 1, nafs, _cos_table(n)).max(axis=1) <= limit
-        kept.append((ic[keep], id_[keep], nafs[keep]))
-    return tuple(np.concatenate(parts) for parts in zip(*kept))
+        _extend(coarse_kept, pair[coarse.max(axis=1) <= limit])
+    ic, id_ = rows(coarse_kept)
+    nafs = c_bucket.nafs[ic]
+    nafs[:, :-1] += d_bucket.nafs[id_]
+    keep = np.empty(len(nafs), bool)
+    for first in range(0, len(nafs), _SPECTRUM_ROWS):
+        part = slice(first, first + _SPECTRUM_ROWS)
+        keep[part] = spectrum_nafs(2 * n - 1, nafs[part], _cos_table(n)).max(axis=1) <= limit
+    return ic[keep], id_[keep], nafs[keep], np.searchsorted(coarse_kept[keep], bounds)
 
 
 class _SeedWork:
-    """One process's rows and state for the hits of runs of seeds.
+    """One process's rows and state for the hits of blocks of seeds.
 
     The run's targets are `cfg.squares`, or every signed target when it
     is None.  `sums` maps each kind "A".."D" to the sorted row sums they
@@ -394,6 +458,9 @@ class _SeedWork:
     and the A and B join tables by (sums, boundary), so A and B share a
     table when their sums match (a sweep, or a hunt with a = b); each is
     built on first use, None when no row passes, and kept for the run.
+    A hunt also keeps the screened pairs of the (C, D) keys it meets in
+    `pair_cache`, up to `_PAIR_CACHE_BYTES`, dropping the least recently
+    used first; a sweep meets each key in one block only.
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -407,61 +474,103 @@ class _SeedWork:
             self.live[t.c + n, t.d + n] = True
         self.store: dict = {}
         self.pair_cache: dict = {}
+        self.pair_cache_bytes = 0
 
     def rows(self, kind: str, key):
         """The store's entry for `kind` and (first, last) boundary `key`, built on first use."""
-        entry = (kind, key) if kind in ("C", "D") else (self.sums[kind], key)
+        if kind in ("C", "D"):
+            self._build(kind, [key])
+            return self.store[kind, key]
+        entry = self.sums[kind], key
         if entry not in self.store:
-            build = self._build_bucket if kind in ("C", "D") else self._build_table
-            self.store[entry] = build(kind, key)
+            self.store[entry] = self._build_table(kind, key)
         return self.store[entry]
 
-    def _build_bucket(self, kind: str, key) -> PoolBucket | None:
-        """The C (length n) or D (length n - 1) rows extending `key`, or None.
+    def _build(self, kind: str, keys) -> None:
+        """Build the C (or D) buckets of `keys` that the store lacks, in one pass."""
+        missing = [key for key in dict.fromkeys(keys) if (kind, key) not in self.store]
+        if missing:
+            built = self._build_buckets(kind, missing)
+            self.store.update(((kind, key), bucket) for key, bucket in zip(missing, built))
+
+    def _build_buckets(self, kind: str, keys) -> list[PoolBucket | None]:
+        """The C (length n) or D (length n - 1) rows extending each of `keys`, or None.
 
         Keeps the rows of each of the kind's sums that pass their own
         canonical clauses (`core._clause_mask`; a canonical quadruple's C
         and D always do) and the spectral bound on the fixed grid, sum by
         sum in ascending order; within a sum, rows come in the
-        lexicographic order of their middle's -1 positions.  Each sum's
-        part may have at most `_CAP_ROWS` candidate rows, counted before
-        either filter.
+        lexicographic order of their middle's -1 positions.  Each
+        (key, sum) segment may have at most `_CAP_ROWS` candidate rows,
+        counted before either filter, and every segment is checked before
+        any row is built.  One pass serves all keys: chunks of
+        `_CHUNK_ROWS` candidates run across segments, and the rows that
+        pass the clauses get their spectra in batches no longer than the
+        longest segment, which bounds them by what a segment's own chunk
+        would take.  The kept rows grow in place in one set of arrays,
+        of which each key's bucket is a slice.
         """
         # Only the middle varies.  Its combinations of -1 positions come in
         # the lexicographic order the full-row scan has within a bucket.
-        head, tail = key
-        h = len(head)
+        h = len(keys[0][0])
         length = self.cfg.n - (kind == "D")
         middle = length - 2 * h
-        template = np.array(head + (1,) * middle + tail, np.int8)
-        kept = []
-        for row_sum in self.sums[kind]:
-            negatives = (length - row_sum) // 2 - (head + tail).count(-1)
-            if not 0 <= negatives <= middle:
-                continue
-            count = math.comb(middle, negatives)
-            if count > _CAP_ROWS:
-                raise FeasibilityError(
-                    f"{kind} bucket {key} with sum {row_sum} has {count} "
-                    f"candidate rows (cap {_CAP_ROWS})"
-                )
-            combos = itertools.combinations(range(h, h + middle), negatives)
-            while chunk := list(itertools.islice(combos, 4096)):
-                rows = np.repeat(template[None], len(chunk), axis=0)
-                positions = np.array(chunk, np.intp).reshape(len(chunk), negatives)
-                rows[np.arange(len(chunk))[:, None], positions] = -1
-                rows = rows[_clause_mask(rows, kind)]
-                if not len(rows):
+        owners, negatives, counts = [], [], []
+        for i, (head, tail) in enumerate(keys):
+            for row_sum in self.sums[kind]:
+                k = (length - row_sum) // 2 - (head + tail).count(-1)
+                if not 0 <= k <= middle:
                     continue
-                nafs = naf_rows(rows)
+                count = math.comb(middle, k)
+                if count > _CAP_ROWS:
+                    raise FeasibilityError(
+                        f"{kind} bucket {(head, tail)} with sum {row_sum} has {count} "
+                        f"candidate rows (cap {_CAP_ROWS})"
+                    )
+                owners.append(i)
+                negatives.append(k)
+                counts.append(count)
+        if not counts:
+            return [None] * len(keys)
+        templates = np.array([head + (1,) * middle + tail for head, tail in keys], np.int8)
+        owners, negatives, ends = np.array(owners), np.array(negatives), np.cumsum(counts)
+        positions = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(itertools.combinations(range(h, h + middle), k))
+            for k in negatives.tolist()
+        )
+        batch = min(_CHUNK_ROWS, max(counts))
+        fields, kept_rows = None, np.zeros(len(keys), np.intp)
+        for start in range(0, int(ends[-1]), _CHUNK_ROWS):
+            candidates = np.arange(start, min(start + _CHUNK_ROWS, ends[-1]))
+            segment = np.searchsorted(ends, candidates, "right")
+            k = negatives[segment]
+            total = int(k.sum())
+            flat = np.fromiter(itertools.islice(positions, total), np.intp, total)
+            rows = templates[owners[segment]]
+            rows[np.repeat(np.arange(len(rows)), k), flat] = -1
+            mask = _clause_mask(rows, kind)
+            rows, owner = rows[mask], owners[segment[mask]]
+            for first in range(0, len(rows), batch):
+                part = rows[first : first + batch]
+                nafs = naf_rows(part)
                 spectra = spectrum_nafs(length, nafs, _cos_table(length))
-                mask = spectra.max(axis=1) <= self.limit
-                # Copies: the chunk's full spectra are freed with it.
-                kept.append((rows[mask], nafs[mask], spectra[mask, ::_COARSE_STEP]))
-        if not kept:
-            return None
-        bucket = PoolBucket(*(np.concatenate(parts) for parts in zip(*kept)))
-        return bucket if len(bucket.rows) else None
+                keep = spectra.max(axis=1) <= self.limit
+                kept = (part[keep], nafs[keep], spectra[keep, ::_COARSE_STEP])
+                del spectra  # before the next batch's are made
+                kept_rows += np.bincount(owner[first : first + batch][keep], minlength=len(keys))
+                if fields is None:
+                    fields = [np.array(field) for field in kept]
+                else:
+                    for array, field in zip(fields, kept):
+                        _extend(array, field)
+        if fields is None:
+            return [None] * len(keys)
+        # Each key's rows are consecutive, in key order.
+        bounds = itertools.accumulate(kept_rows.tolist(), initial=0)
+        return [
+            PoolBucket(*(field[lo:hi] for field in fields)) if lo < hi else None
+            for lo, hi in itertools.pairwise(bounds)
+        ]
 
     def _build_table(self, kind: str, key):
         """A (or B) rows over every middle between `key`'s head and tail, sorted by NAF hash.
@@ -484,63 +593,106 @@ class _SeedWork:
         order = np.argsort(hashes, kind="stable")
         return (rows[order], nafs[order], hashes[order]) if len(rows) else None
 
-    def _pairs(self, c_key, d_key) -> _Pairs | None:
-        c_bucket = self.rows("C", c_key)
-        d_bucket = None if c_bucket is None else self.rows("D", d_key)
-        if d_bucket is None:
-            return None
-        ic, id_, nafs = _spectral_pairs(c_bucket, d_bucket, self.live, self.limit)
-        return _pair_block(c_bucket.rows[ic], d_bucket.rows[id_], nafs)
+    def _pairs(self, keys):
+        """The screened pairs of the (C, D) bucket pairs `keys`, and each key's (start, stop).
 
-    def _join(self, seed: SeedQuad, pairs: _Pairs):
-        """(pair index, A rows, B rows) of every table join hit, in no set order.
-
-        hash(N_A) must equal hash(T) - hash(N_B), since the projection is
-        linear, and each hash match is confirmed by exact NAF equality.
+        One pass per kind builds the buckets the store lacks (D only for
+        keys whose C bucket has rows), and one screen covers every bucket
+        pair.  A key with an empty bucket has no (start, stop); None when
+        no key has both buckets.
         """
-        table_a = self.rows("A", seed.key("A")) if len(pairs.target) else None
-        table_b = None if table_a is None else self.rows("B", seed.key("B"))
+        self._build("C", [c for c, _ in keys])
+        self._build("D", [d for c, d in keys if self.store["C", c] is not None])
+        both = [(c, d) for c, d in keys if self.store["C", c] and self.store.get(("D", d))]
+        if not both:
+            return None
+        c_bucket, c_at = _stack({c: self.store["C", c] for c, _ in both})
+        d_bucket, d_at = _stack({d: self.store["D", d] for _, d in both})
+        spans = [(*c_at[c], *d_at[d]) for c, d in both]
+        ic, id_, nafs, bounds = _spectral_pairs(c_bucket, d_bucket, spans, self.live, self.limit)
+        pairs = _pair_block(c_bucket.rows[ic], d_bucket.rows[id_], nafs)
+        return pairs, dict(zip(both, itertools.pairwise(bounds.tolist())))
+
+    def _cached_pairs(self, keys):
+        """`_pairs(keys)`, kept in `pair_cache` by the bytes it holds."""
+        keys = tuple(keys)
+        if keys in self.pair_cache:
+            entry = self.pair_cache.pop(keys)
+        else:
+            entry = self._pairs(keys)
+            self.pair_cache_bytes += _nbytes(entry)
+        self.pair_cache[keys] = entry
+        while self.pair_cache_bytes > _PAIR_CACHE_BYTES and len(self.pair_cache) > 1:
+            self.pair_cache_bytes -= _nbytes(self.pair_cache.pop(next(iter(self.pair_cache))))
+        return entry
+
+    def _join(self, keys, pairs: _Pairs, entries):
+        """(entry, A rows, B rows) of every hit of the pairs `entries` in no set order, or None.
+
+        `keys` names the A and B tables.  hash(N_A) must equal
+        hash(T) - hash(N_B), since the projection is linear, and each hash
+        match is confirmed by exact NAF equality.
+        """
+        table_a = self.rows("A", keys[0]) if len(entries) else None
+        table_b = None if table_a is None else self.rows("B", keys[1])
         if table_b is None:
-            empty = np.empty((0, seed.n), np.int8)
-            return np.empty(0, np.intp), empty, empty
+            return None
         (rows_a, nafs_a, hash_a), (rows_b, nafs_b, hash_b) = table_a, table_b
+        target_hash = pairs.target_hash[entries]
         found = []
         # Blocks of pairs keep the (pairs x B rows) lookups near a fixed size.
         step = max(1, _JOIN_BLOCK // len(hash_b))
-        for start in range(0, len(pairs.target), step):
-            wanted = pairs.target_hash[start : start + step, None] - hash_b[None, :]
+        for start in range(0, len(entries), step):
+            wanted = target_hash[start : start + step, None] - hash_b[None, :]
             lo = np.searchsorted(hash_a, wanted)
-            ip, ib = np.nonzero(hash_a[np.minimum(lo, len(hash_a) - 1)] == wanted)
-            lo = lo[ip, ib]
-            counts = np.searchsorted(hash_a, wanted[ip, ib], side="right") - lo
+            ie, ib = np.nonzero(np.take(hash_a, lo, mode="clip") == wanted)
+            if not len(ie):
+                continue
+            lo = lo[ie, ib]
+            counts = np.searchsorted(hash_a, wanted[ie, ib], side="right") - lo
             # One candidate per A row in each run of equal hashes.
-            ip, ib = np.repeat(ip + start, counts), np.repeat(ib, counts)
+            ie, ib = np.repeat(ie + start, counts), np.repeat(ib, counts)
             ia = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-            exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[ip], axis=1)
-            found.append((ip[exact], ia[exact], ib[exact]))
-        ip, ia, ib = map(np.concatenate, zip(*found))
-        return ip, rows_a[ia], rows_b[ib]
+            exact = np.all(nafs_a[ia] + nafs_b[ib] == pairs.target[entries[ie]], axis=1)
+            found.append((ie[exact], ia[exact], ib[exact]))
+        if not found:
+            return None
+        ie, ia, ib = map(np.concatenate, zip(*found))
+        return ie, rows_a[ia], rows_b[ib]
 
-    def _completions(self, seeds, pairs: _Pairs):
-        """(seed slot, [A, B, C, D rows]) of the verified completions of seeds sharing `pairs`.
+    def _completions(self, seeds, pairs: _Pairs, spans=None):
+        """(seed slot, [A, B, C, D rows]) of the verified completions of a block of seeds.
 
-        Middles of up to `_JOIN_MAX_MIDDLE` entries are joined, longer ones
-        walked, seed by seed; one tail serves the run.  It keeps only A and
-        B rows of the kinds' sums (the tables hold no others), sorts seed
-        by seed into the walk's order (pair by pair), so results and
-        `stop_after` do not depend on the path, and checks every completion
-        in one `naf_vanishes` call with the weights of `verify_tt`.  Without
-        a completion it returns no slots and no rows.
+        Seed slot i takes the pairs spans[i] = (start, stop), or all of
+        `pairs` without `spans`.  Middles of up to `_JOIN_MAX_MIDDLE`
+        entries are joined, one join per (A, B) table pair over the pairs
+        of every seed naming it; longer ones are walked, seed by seed.
+        One tail serves the block.  It keeps only A and B rows of the
+        kinds' sums (the tables hold no others), sorts seed by seed into
+        the walk's order (pair by pair), so results and `stop_after` do
+        not depend on the path or the block, and checks every completion
+        in one `naf_vanishes` call with the weights of `verify_tt`.
+        Without a completion it returns no slots and no rows.
         """
         h, n = seeds[0].head_len, seeds[0].n
+        spans = spans or [(0, len(pairs.target))] * len(seeds)
         parts = []
-        for slot, seed in enumerate(seeds):
-            if n - 2 * h > _JOIN_MAX_MIDDLE:
-                ip, a, b = _walk(seed, pairs.c_rows, pairs.d_rows)
-            else:
-                ip, a, b = self._join(seed, pairs)
-            if len(ip):
-                parts.append((np.full(len(ip), slot, np.intp), ip, a, b))
+        if n - 2 * h > _JOIN_MAX_MIDDLE:
+            for slot, (seed, (start, stop)) in enumerate(zip(seeds, spans)):
+                ip, a, b = _walk(seed, pairs.c_rows[start:stop], pairs.d_rows[start:stop])
+                parts.append((np.full(len(ip), slot, np.intp), ip + start, a, b))
+        else:
+            tables: dict = {}
+            for slot, seed in enumerate(seeds):
+                tables.setdefault((seed.key("A"), seed.key("B")), []).append(slot)
+            for keys, slots in tables.items():
+                ranges = [np.arange(*spans[slot]) for slot in slots]
+                entries = np.concatenate(ranges)
+                found = self._join(keys, pairs, entries)
+                if found is not None:
+                    ie, a, b = found
+                    slot = np.repeat(slots, [len(r) for r in ranges])
+                    parts.append((slot[ie], entries[ie], a, b))
         if parts:
             slot, ip, a, b = (np.concatenate(part) for part in zip(*parts))
             keep = (a.sum(axis=1)[:, None] == self.sums["A"]).any(axis=1)
@@ -561,26 +713,29 @@ class _SeedWork:
             raise RuntimeError(f"A/B middle completion is not a Turyn-type quadruple: {bad}")
         return slot[order], quads
 
-    def hits(self, run) -> list[list[str]]:
-        """Compact codes of the canonical hits of each seed of a run, in bucket order.
+    def hits(self, seeds) -> list[list[str]]:
+        """Compact codes of the canonical hits of each seed of a block, in bucket order.
 
-        A run's seeds share one (C, D) key.  A sweep meets each key once, so
-        it caches only the current key's pairs; a hunt caches every key's.
+        A block is whole runs of seeds sharing a (C, D) key: its buckets
+        are built, its pairs screened and its completions checked once.
         """
-        key = _group_key(run[0])
-        if key not in self.pair_cache:
-            if self.cfg.squares is None:
-                self.pair_cache.clear()
-            self.pair_cache[key] = self._pairs(*key)
-        pairs = self.pair_cache[key]
-        codes: list[list[str]] = [[] for _ in run]
-        if pairs is None:
+        keys = [_group_key(seed) for seed in seeds]
+        named = list(dict.fromkeys(keys))
+        screened = self._pairs(named) if self.cfg.squares is None else self._cached_pairs(named)
+        codes: list[list[str]] = [[] for _ in seeds]
+        if screened is None:
             return codes
-        slots, quads = self._completions(run, pairs)
+        pairs, at = screened
+        slots, quads = self._completions(seeds, pairs, [at.get(key, (0, 0)) for key in keys])
         for slot, *rows in zip(slots.tolist(), *(q.tolist() for q in quads)):
             if _canonical_entries(*rows):
                 codes[slot].append(_hex_code(*rows, compact=True))
         return codes
+
+
+def _nbytes(screened) -> int:
+    """The bytes of the pairs of a `_SeedWork._pairs` result."""
+    return 0 if screened is None else sum(array.nbytes for array in screened[0])
 
 
 _WORKER_STATE: dict = {}
@@ -590,24 +745,24 @@ def _init_worker(cfg):
     _WORKER_STATE["work"] = _SeedWork(cfg)
 
 
-def _worker_hits(run):
-    return _WORKER_STATE["work"].hits(run)
+def _worker_hits(block):
+    return _WORKER_STATE["work"].hits(block)
 
 
-def _hit_stream(runs, cfg, jobs, chunksize):
-    """Yield the hit list of each seed of `runs`, in seed order.
+def _hit_stream(blocks, cfg, jobs, chunksize):
+    """Yield the hit list of each seed of `blocks`, in seed order.
 
-    With `jobs == 1` a run is pulled only when its hits are wanted;
+    With `jobs == 1` a block is pulled only when its hits are wanted;
     otherwise one pool of worker processes, each with its own
-    `_SeedWork(cfg)`, takes runs in chunks of `chunksize`.
+    `_SeedWork(cfg)`, takes blocks in chunks of `chunksize`.
     """
     if jobs == 1:
-        yield from itertools.chain.from_iterable(map(_SeedWork(cfg).hits, runs))
+        yield from itertools.chain.from_iterable(map(_SeedWork(cfg).hits, blocks))
         return
     from multiprocessing import Pool  # only parallel runs need it
 
     with Pool(jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
-        yield from itertools.chain.from_iterable(pool.imap(_worker_hits, runs, chunksize))
+        yield from itertools.chain.from_iterable(pool.imap(_worker_hits, blocks, chunksize))
 
 
 def _write_checkpoint(path, cfg, seed_index, done, stopped_after=None):
@@ -654,21 +809,30 @@ def _read_checkpoint(path, cfg) -> tuple[int, bool]:
 
 
 def _work_items(cfg: SearchConfig, jobs: int, start: int, stop: int | None):
-    """The runs of seeds `start` to `stop` in checkpoint order, and their chunk size.
+    """The blocks of seeds `start` to `stop` in checkpoint order, and their chunk size.
 
     One target streams its seeds lazily in generation order, one seed per
-    run.  Every target sorts the seeds by their (C, D) bucket keys and
-    takes each key's consecutive seeds as one run, so each bucket pair is
-    screened once and its seeds end in one completion tail.
+    block.  Every target sorts the seeds by their (C, D) bucket keys and
+    cuts them into blocks of whole runs of one key, each closed once it
+    holds `_BATCH_SEEDS` seeds, or with `jobs > 1` a quarter of each
+    worker's share when that is fewer: a block's buckets are built in
+    one pass per kind, its pairs screened at once, and its seeds end in
+    one completion tail.
     """
     if cfg.squares is not None:
         seeds = itertools.islice(generate_seeds(cfg), start, stop)
         return ([seed] for seed in seeds), _BATCH_SEEDS
     seeds = sorted(generate_seeds(cfg), key=_group_key)[start:stop]
-    runs = [list(run) for _, run in itertools.groupby(seeds, key=_group_key)]
-    # About four chunks per worker, so no worker waits long for the last.
-    chunksize = max(1, -(-len(runs) // (4 * jobs)))
-    return runs, chunksize
+    size = _BATCH_SEEDS
+    if jobs > 1:
+        # About four blocks per worker, so no worker waits long for the last.
+        size = min(size, -(-len(seeds) // (4 * jobs)))
+    blocks: list[list[SeedQuad]] = []
+    for _, run in itertools.groupby(seeds, key=_group_key):
+        if not blocks or len(blocks[-1]) >= size:
+            blocks.append([])
+        blocks[-1].extend(run)
+    return blocks, 1
 
 
 def search(
@@ -720,7 +884,7 @@ def search(
         Path(results_path).write_text(write_listing([], header=f"search {cfg.describe()}"))
 
     stop = None if max_seeds_per_run is None else start + max_seeds_per_run
-    runs, chunksize = _work_items(cfg, jobs, start, stop)
+    blocks, chunksize = _work_items(cfg, jobs, start, stop)
     processed = start
     new_codes: list[str] = []
 
@@ -736,7 +900,7 @@ def search(
             _write_checkpoint(checkpoint_path, cfg, processed, done, stopped_after)
 
     stopped = False
-    for hits in _hit_stream(runs, cfg, jobs, chunksize):
+    for hits in _hit_stream(blocks, cfg, jobs, chunksize):
         processed += 1
         for code in hits:
             if code not in found and not stopped:

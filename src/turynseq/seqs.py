@@ -177,11 +177,15 @@ def spectrum_nafs(n0, nafs: np.ndarray, cos_table: np.ndarray) -> np.ndarray:
     (N(0), 2 N(1), ..., 2 N(L-1)) with the table sums them.  f is linear
     in the NAF, so a NAF sum gives the sum of the spectra.
     """
-    weighted = np.empty((len(nafs), nafs.shape[1] + 1))
+    count = len(nafs)
+    # numpy multiplies a single row by gemv, which rounds differently from
+    # gemm in the last bits; a second copy of it keeps every row's values
+    # the same whatever rows share its product.
+    weighted = np.empty((count + (count == 1), nafs.shape[1] + 1))
     weighted[:, 0] = n0
     weighted[:, 1:] = nafs
     weighted[:, 1:] *= 2
-    return weighted @ cos_table
+    return (weighted @ cos_table)[:count]
 
 
 def spectrum_value(seq: Seq, theta: float) -> float:

@@ -594,7 +594,11 @@ class TestJoinTables:
                 correlations = [np.correlate(row, row, "full")[n:] for row in rows]
                 assert np.array_equal(nafs, np.array(correlations).reshape(len(rows), n - 1))
                 assert np.array_equal(hashes, nafs @ weights)
-                assert np.all(np.diff(hashes) >= 0)
+                # Sorted; np.diff would wrap on hashes across the int64 range.
+                assert np.all(hashes[1:] >= hashes[:-1])
+                # Distinct NAFs get distinct hashes, so a lookup meets few
+                # rows that the exact check then drops.
+                assert len(np.unique(hashes)) == len(np.unique(nafs, axis=0))
                 compared += len(rows)
         assert compared
 
@@ -625,6 +629,18 @@ class TestJoinTables:
         assert len({seed.key(kind) for seed in seeds for kind in "AB"}) == tables
         assert len({(kind, seed.key(kind)) for seed in seeds for kind in "AB"}) == kind_keys
         assert len(built) == len(set(built)) == tables
+
+
+    def test_projection_and_middles_are_cached_read_only(self):
+        # Every table build and pair block reads them; none may write them.
+        for build, length in (
+            (search_module._hash_weights, 15),
+            (_pm_rows, 6),
+            (search_module._cos_table, 12),
+        ):
+            table = build(length)
+            assert build(length) is table
+            assert not table.flags.writeable
 
 
 class TestSpectralSoundness:
@@ -833,11 +849,14 @@ class TestPairScreen:
     @pytest.mark.parametrize("n", [10, 12])
     def test_equals_per_row_loop_on_every_bucket_pair(self, n, block, monkeypatch):
         # The sweep's buckets hold every target's sum; a one-target
-        # search's hold one.  In both, the screen keeps exactly the pairs the full-grid
-        # per-row loop keeps among those with a live (c, d), in its order.
-        # Blocks of 7 pairs split bucket pairs and C rows at odd places.
+        # search's hold one.  In both, one screen of every bucket pair
+        # keeps exactly the pairs the full-grid per-row loop keeps among
+        # those with a live (c, d), bucket pair by bucket pair, in its
+        # order.  Blocks of 7 pairs split bucket pairs and C rows at odd
+        # places, and full-grid batches of 3 split what the coarse points keep.
         if block is not None:
             monkeypatch.setattr(search_module, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(search_module, "_SPECTRUM_ROWS", 3)
         cfg = SearchConfig(n=n)
         limit = cfg.spectral_bound + search_module._SPECTRAL_TOL
         grid = search_module._GRID_POINTS
@@ -849,30 +868,49 @@ class TestPairScreen:
         ]
         compared = kept = 0
         for work in works:
-            for c_bucket in every_bucket(work, "C").values():
-                for d_bucket in every_bucket(work, "D").values():
-                    ic, id_ = per_row_pairs(c_bucket, d_bucket, limit, grid)
-                    sums_c = c_bucket.rows.sum(axis=1)[ic] + n
-                    sums_d = d_bucket.rows.sum(axis=1)[id_] + n
-                    live = work.live[sums_c, sums_d]
-                    got = search_module._spectral_pairs(c_bucket, d_bucket, work.live, limit)
-                    assert np.array_equal(got[0], ic[live])
-                    assert np.array_equal(got[1], id_[live])
-                    # The third part is N_C + N_D, D padded by a trailing zero.
-                    pairs = search_module._pair_block(
-                        c_bucket.rows[got[0]], d_bucket.rows[got[1]]
-                    )
-                    assert np.array_equal(-2 * got[2], pairs.target)
-                    compared += 1
-                    kept += int(live.sum())
+            (c_stack, c_at), (d_stack, d_at) = (
+                search_module._stack(every_bucket(work, kind)) for kind in "CD"
+            )
+            keys = [(c, d) for c in c_at for d in d_at]
+            spans = [(*c_at[c], *d_at[d]) for c, d in keys]
+            got_c, got_d, nafs, bounds = search_module._spectral_pairs(
+                c_stack, d_stack, spans, work.live, limit
+            )
+            assert bounds[0] == 0 and bounds[-1] == len(got_c) and np.all(np.diff(bounds) >= 0)
+            for index, ((c_key, d_key), (c_start, _, d_start, _)) in enumerate(zip(keys, spans)):
+                c_bucket, d_bucket = work.rows("C", c_key), work.rows("D", d_key)
+                ic, id_ = per_row_pairs(c_bucket, d_bucket, limit, grid)
+                sums_c = c_bucket.rows.sum(axis=1)[ic] + n
+                sums_d = d_bucket.rows.sum(axis=1)[id_] + n
+                live = work.live[sums_c, sums_d]
+                mine = slice(bounds[index], bounds[index + 1])
+                assert np.array_equal(got_c[mine] - c_start, ic[live])
+                assert np.array_equal(got_d[mine] - d_start, id_[live])
+                # The last part is N_C + N_D, D padded by a trailing zero.
+                pairs = search_module._pair_block(
+                    c_bucket.rows[ic[live]], d_bucket.rows[id_[live]]
+                )
+                assert np.array_equal(-2 * nafs[mine], pairs.target)
+                compared += 1
+                kept += int(live.sum())
         assert compared and kept
 
     def test_sweep_screens_each_bucket_pair_once(self, monkeypatch):
-        # n=12 has 72 seeds naming 24 (C, D) bucket pairs; a pass per
-        # target made 864 joins and 288 pair blocks, and a tail per seed
-        # made 72 tails.
-        calls = {"_completions": 0, "_pair_block": 0}
-        owners = {"_completions": search_module._SeedWork, "_pair_block": search_module}
+        # n=12 has 72 seeds naming 24 (C, D) bucket pairs and 12 (A, B)
+        # table pairs.  A pass per target made 864 joins and 288 pair
+        # blocks, a tail per seed 72 tails, and a tail per (C, D) group 24
+        # screens, 24 tails and 72 joins.  Now each block of seeds has one
+        # bucket pass per kind, one screen and one tail, and each of its
+        # (A, B) table pairs one join: one block by default, and blocks of
+        # whole groups closed at 10 seeds.
+        owners = {
+            "_build_buckets": search_module._SeedWork,
+            "_spectral_pairs": search_module,
+            "_pair_block": search_module,
+            "_join": search_module._SeedWork,
+            "_completions": search_module._SeedWork,
+        }
+        calls = dict.fromkeys(owners, 0)
         for name, owner in owners.items():
             real = getattr(owner, name)
 
@@ -881,9 +919,18 @@ class TestPairScreen:
                 return real(*args)
 
             monkeypatch.setattr(owner, name, counting)
-        assert len(sweep(12)) == 127
-        assert calls["_completions"] <= 24
-        assert calls["_pair_block"] <= 24
+        for batch in (search_module._BATCH_SEEDS, 10):
+            monkeypatch.setattr(search_module, "_BATCH_SEEDS", batch)
+            blocks, _ = search_module._work_items(SearchConfig(n=12), 1, 0, None)
+            tables = sum(len({(s.key("A"), s.key("B")) for s in block}) for block in blocks)
+            calls.update(dict.fromkeys(calls, 0))
+            assert len(sweep(12)) == 127
+            assert (len(blocks) == 1) == (batch > 72)
+            assert calls["_build_buckets"] <= 2 * len(blocks)
+            assert calls["_spectral_pairs"] == calls["_pair_block"] == len(blocks)
+            assert calls["_completions"] == len(blocks)
+            assert calls["_join"] == tables <= 12 * len(blocks)
+            assert tables == 12 or len(blocks) > 1
 
 
 class TestSearch:
@@ -934,12 +981,14 @@ class TestSearch:
             assert again == one_shot
 
     def test_sweep_slices_that_cut_groups_resume_to_the_same_files(self, tmp_path):
-        # Slices of 5 seeds end inside (C, D) groups, whose seeds otherwise
-        # share one completion tail.
+        # Slices of 5 seeds end inside (C, D) groups and inside the one
+        # block, whose seeds otherwise share one screen and one tail.
         cfg = SearchConfig(n=14)
-        runs, _ = search_module._work_items(cfg, 1, 0, None)
-        ends = set(itertools.accumulate(map(len, runs)))
-        total = max(ends)
+        blocks, _ = search_module._work_items(cfg, 1, 0, None)
+        assert len(blocks) == 1
+        total = len(blocks[0])
+        groups = itertools.groupby(blocks[0], key=search_module._group_key)
+        ends = set(itertools.accumulate(len(list(run)) for _, run in groups))
         assert any(cut not in ends for cut in range(5, total, 5))
         whole_ck, whole_rs = tmp_path / "whole.ckpt", tmp_path / "whole.txt"
         whole = search(cfg, checkpoint_path=str(whole_ck), results_path=str(whole_rs))
@@ -1045,14 +1094,19 @@ class TestSearch:
                 yield seed
 
         built = []
-        for name in ("_build_bucket", "_build_table"):
-            real_build = getattr(search_module._SeedWork, name)
+        real_buckets = search_module._SeedWork._build_buckets
+        real_table = search_module._SeedWork._build_table
 
-            def counting(work, kind, key, real_build=real_build):
-                built.append((kind, key))
-                return real_build(work, kind, key)
+        def buckets(work, kind, keys):
+            built.extend((kind, key) for key in keys)
+            return real_buckets(work, kind, keys)
 
-            monkeypatch.setattr(search_module._SeedWork, name, counting)
+        def table(work, kind, key):
+            built.append((kind, key))
+            return real_table(work, kind, key)
+
+        monkeypatch.setattr(search_module._SeedWork, "_build_buckets", buckets)
+        monkeypatch.setattr(search_module._SeedWork, "_build_table", table)
         monkeypatch.setattr(search_module, "generate_seeds", recording)
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3), stop_after=1)
         assert len(search(cfg)) == 1
@@ -1065,6 +1119,26 @@ class TestSearch:
         assert {key for kind, key in built if kind == "B"} <= {s.key("B") for s in pulled}
         # 65 seeds name 6 of the 235 non-empty C buckets and 3 of the 61 D.
         assert (len(c_keys), len(d_keys)) == (6, 3)
+
+    def test_hunt_pair_cache_is_bounded_by_bytes(self, monkeypatch):
+        # A hunt's one-seed blocks meet a (C, D) key again in later runs,
+        # so it keeps screened pairs by key; past the byte bound the least
+        # recently used go first, and the hits do not change.
+        cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
+        seeds = list(itertools.islice(generate_seeds(cfg), 200))
+        unbounded = search_module._SeedWork(cfg)
+        expected = [unbounded.hits([seed]) for seed in seeds]
+        sizes = sorted(map(search_module._nbytes, unbounded.pair_cache.values()))
+        bound = sizes[-1] + sizes[-2]
+        monkeypatch.setattr(search_module, "_PAIR_CACHE_BYTES", bound)
+        work = search_module._SeedWork(cfg)
+        for seed, hits in zip(seeds, expected):
+            assert work.hits([seed]) == hits
+            cached = sum(map(search_module._nbytes, work.pair_cache.values()))
+            assert work.pair_cache_bytes == cached <= bound
+            assert list(work.pair_cache)[-1] == (search_module._group_key(seed),)
+        assert any(hits[0] for hits in expected)
+        assert 1 < len(work.pair_cache) < len(unbounded.pair_cache)
 
     def test_paper_scale_target_runs(self, tmp_path):
         # The whole C pool of sum 8 at n=28 has comb(28, 10) = 13,123,110
@@ -1202,19 +1276,41 @@ class TestKillAndResume:
 
 class TestSweep:
     @pytest.mark.parametrize("n", [12, 14])
-    def test_a_run_hits_as_its_seeds_one_by_one(self, n):
-        # One completion tail per (C, D) group gives each seed the codes,
-        # in the order, that a tail of its own gives it.
+    def test_a_run_hits_as_its_seeds_one_by_one(self, n, monkeypatch):
+        # One screen and one completion tail per block gives each seed the
+        # codes, in the order, that a block of its own gives it: for the
+        # one block of every seed, and for blocks closed at 10 seeds, each
+        # spanning several (C, D) groups and (A, B) table pairs.
         cfg = SearchConfig(n=n)
-        runs, _ = search_module._work_items(cfg, 1, 0, None)
-        work = search_module._SeedWork(cfg)
-        hits = 0
-        for run in runs:
-            by_run = work.hits(run)
-            assert by_run == [work.hits([seed])[0] for seed in run]
-            hits += sum(map(len, by_run))
-        assert len(runs) < sum(map(len, runs))
-        assert hits == REFERENCE_COUNTS[n]
+        for batch in (search_module._BATCH_SEEDS, 10):
+            monkeypatch.setattr(search_module, "_BATCH_SEEDS", batch)
+            blocks, _ = search_module._work_items(cfg, 1, 0, None)
+            work = search_module._SeedWork(cfg)
+            hits = 0
+            for block in blocks:
+                by_block = work.hits(block)
+                assert by_block == [work.hits([seed])[0] for seed in block]
+                hits += sum(map(len, by_block))
+                assert len({search_module._group_key(seed) for seed in block}) > 1
+                assert len({(seed.key("A"), seed.key("B")) for seed in block}) > 1
+            seeds = [seed for block in blocks for seed in block]
+            assert seeds == sorted(generate_seeds(cfg), key=search_module._group_key)
+            assert (len(blocks) == 1) == (batch > len(seeds))
+            assert hits == REFERENCE_COUNTS[n]
+
+    def test_parallel_sweep_writes_the_serial_files(self, tmp_path):
+        # Two workers take blocks of about a quarter of each one's share;
+        # the results file and the checkpoint are those of one process.
+        cfg = SearchConfig(n=14)
+        files = {}
+        for jobs in (1, 2):
+            ck, rs = tmp_path / f"jobs{jobs}.ckpt", tmp_path / f"jobs{jobs}.txt"
+            listing = search(cfg, jobs=jobs, checkpoint_path=str(ck), results_path=str(rs))
+            assert len(listing) == REFERENCE_COUNTS[14]
+            files[jobs] = (ck.read_bytes(), rs.read_bytes())
+        assert files[2] == files[1]
+        blocks, chunksize = search_module._work_items(cfg, 2, 0, None)
+        assert chunksize == 1 and len(blocks) >= 4
 
     def test_config_sweep_covers_signed_variants(self):
         squares = SIGNED_SQUARES(38)
