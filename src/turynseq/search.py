@@ -72,9 +72,11 @@ A hunt (a config with `squares`) streams its seeds lazily in
 generation order, one seed per block.  A sweep (no `squares`;
 `enumerate_canonical` runs it) sorts its seeds by their (C, D) bucket
 keys and cuts them into blocks of whole runs of one key, each closed
-at about `_BATCH_SEEDS` seeds.  One `_SeedWork` per process holds
-every bucket and table the run builds.  The run yields one hit list
-per seed, and its checkpoint counts the seeds done in that order, so a
+at about `_BATCH_SEEDS` seeds.  One `_SeedWork` per process keeps its
+buckets, tables and a hunt's pairs in one store of at most
+`_STORE_BYTES`, dropping the least recently used first; a bucket pass
+that would keep more is refused.  The run yields one hit list per
+seed, and its checkpoint counts the seeds done in that order, so a
 sweep stops, resumes and slices like a hunt, also inside a block.
 """
 
@@ -106,15 +108,15 @@ _SPECTRAL_TOL = 1e-6
 # Bucket spectra are sampled at theta = j*pi/_GRID_POINTS, j = 1.._GRID_POINTS.
 _GRID_POINTS = 600
 _BATCH_SEEDS = 256
-_CAP_ROWS = 5_000_000
+# The bytes of arrays `_SeedWork.store` keeps: buckets, tables and a hunt's
+# pairs.  A bucket pass whose kept rows exceed it is refused.
+_STORE_BYTES = 1 << 30
 # Candidate rows per chunk of a bucket pass.  Its spectra (4.9 MB at
 # most) are freed chunk by chunk; glibc then serves from mmap only blocks
 # larger than those, so a large growing bucket array is remapped, not
 # copied: the TT(38) seed's D bucket (96 MB) peaked at 177-214 MB of RSS
 # with 4,096-row chunks and at 128-129 MB with these.
 _CHUNK_ROWS = 1024
-# The bytes of screened (C, D) pairs a hunt keeps for the keys it meets again.
-_PAIR_CACHE_BYTES = 64 << 20
 # Middles of up to this many entries are completed by the NAF join; its
 # A and B tables hold 2^m rows each, so longer middles are walked.
 _JOIN_MAX_MIDDLE = 16
@@ -274,8 +276,7 @@ def _group_key(seed: SeedQuad):
     return seed.key("C"), seed.key("D")
 
 
-@dataclass(frozen=True)
-class PoolBucket:
+class PoolBucket(NamedTuple):
     """Candidate rows sharing one boundary pattern, with their NAFs and coarse spectra."""
 
     rows: np.ndarray  # (count, length) of +-1, int8
@@ -284,7 +285,7 @@ class PoolBucket:
 
     @property
     def nbytes(self) -> int:
-        return self.rows.nbytes + self.nafs.nbytes + self.coarse.nbytes
+        return _nbytes(self)
 
 
 @functools.cache
@@ -302,8 +303,7 @@ def _stack(buckets: dict) -> tuple[PoolBucket, dict]:
     at = dict(zip(buckets, zip(itertools.accumulate(counts, initial=0), counts)))
     if len(buckets) == 1:
         return next(iter(buckets.values())), at
-    fields = zip(*((b.rows, b.nafs, b.coarse) for b in buckets.values()))
-    return PoolBucket(*map(np.concatenate, fields)), at
+    return PoolBucket(*map(np.concatenate, zip(*buckets.values()))), at
 
 
 def _extend(array: np.ndarray, part: np.ndarray) -> None:
@@ -454,13 +454,14 @@ class _SeedWork:
     give that sequence, and `live` marks their (c, d) by (c + n, d + n).
     Every target's rows can pass: 2c^2 <= 6n - 2 keeps c^2 within the
     bound, and c and d have the parity of their lengths.  `store` is the
-    run's one row store: it holds the C and D buckets by (kind, boundary)
-    and the A and B join tables by (sums, boundary), so A and B share a
-    table when their sums match (a sweep, or a hunt with a = b); each is
-    built on first use, None when no row passes, and kept for the run.
-    A hunt also keeps the screened pairs of the (C, D) keys it meets in
-    `pair_cache`, up to `_PAIR_CACHE_BYTES`, dropping the least recently
-    used first; a sweep meets each key in one block only.
+    process's one cache, in least-recently-used order: the C and D
+    buckets by (kind, boundary), the A and B join tables by (sums,
+    boundary), shared when A's and B's sums match (a sweep, or a hunt
+    with a = b), and a hunt's screened pairs by ("pairs", (C, D) keys);
+    a sorted sweep meets those keys in one block only and keeps none.
+    Each entry is built on first use (None when nothing passes); every
+    read makes it the newest, and past `_STORE_BYTES` of arrays
+    (`store_bytes`) the oldest are dropped, always keeping the newest.
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -473,25 +474,33 @@ class _SeedWork:
         for t in targets:
             self.live[t.c + n, t.d + n] = True
         self.store: dict = {}
-        self.pair_cache: dict = {}
-        self.pair_cache_bytes = 0
+        self.store_bytes = 0
+
+    def _get(self, key, build, *args):
+        """Entry `key`, made by `build(*args)` on a miss; the oldest entries go past the bound."""
+        if key in self.store:
+            entry = self.store.pop(key)
+        else:
+            entry = build(*args)
+            self.store_bytes += _nbytes(entry)
+        self.store[key] = entry
+        while self.store_bytes > _STORE_BYTES and len(self.store) > 1:
+            self.store_bytes -= _nbytes(self.store.pop(next(iter(self.store))))
+        return entry
 
     def rows(self, kind: str, key):
         """The store's entry for `kind` and (first, last) boundary `key`, built on first use."""
         if kind in ("C", "D"):
-            self._build(kind, [key])
-            return self.store[kind, key]
-        entry = self.sums[kind], key
-        if entry not in self.store:
-            self.store[entry] = self._build_table(kind, key)
-        return self.store[entry]
+            return self._buckets(kind, [key])[key]
+        return self._get((self.sums[kind], key), self._build_table, kind, key)
 
-    def _build(self, kind: str, keys) -> None:
-        """Build the C (or D) buckets of `keys` that the store lacks, in one pass."""
-        missing = [key for key in dict.fromkeys(keys) if (kind, key) not in self.store]
+    def _buckets(self, kind: str, keys) -> dict:
+        """The C (or D) buckets of `keys` by key; one pass builds those the store lacks."""
+        found = {key: self.store[kind, key] for key in keys if (kind, key) in self.store}
+        missing = [key for key in dict.fromkeys(keys) if key not in found]
         if missing:
-            built = self._build_buckets(kind, missing)
-            self.store.update(((kind, key), bucket) for key, bucket in zip(missing, built))
+            found.update(zip(missing, self._build_buckets(kind, missing)))
+        return {key: self._get((kind, key), found.get, key) for key in found}
 
     def _build_buckets(self, kind: str, keys) -> list[PoolBucket | None]:
         """The C (length n) or D (length n - 1) rows extending each of `keys`, or None.
@@ -500,15 +509,14 @@ class _SeedWork:
         canonical clauses (`core._clause_mask`; a canonical quadruple's C
         and D always do) and the spectral bound on the fixed grid, sum by
         sum in ascending order; within a sum, rows come in the
-        lexicographic order of their middle's -1 positions.  Each
-        (key, sum) segment may have at most `_CAP_ROWS` candidate rows,
-        counted before either filter, and every segment is checked before
-        any row is built.  One pass serves all keys: chunks of
-        `_CHUNK_ROWS` candidates run across segments, and the rows that
-        pass the clauses get their spectra in batches no longer than the
-        longest segment, which bounds them by what a segment's own chunk
-        would take.  The kept rows grow in place in one set of arrays,
-        of which each key's bucket is a slice.
+        lexicographic order of their middle's -1 positions.  One pass
+        serves all keys: chunks of `_CHUNK_ROWS` candidates run across
+        (key, sum) segments, and the rows that pass the clauses get their
+        spectra in batches no longer than the longest segment, which
+        bounds them by what a segment's own chunk would take.  The kept
+        rows grow in place in one set of arrays, of which each key's
+        bucket is a slice; once they hold more than `_STORE_BYTES`, the
+        pass raises `FeasibilityError`.
         """
         # Only the middle varies.  Its combinations of -1 positions come in
         # the lexicographic order the full-row scan has within a bucket.
@@ -521,15 +529,9 @@ class _SeedWork:
                 k = (length - row_sum) // 2 - (head + tail).count(-1)
                 if not 0 <= k <= middle:
                     continue
-                count = math.comb(middle, k)
-                if count > _CAP_ROWS:
-                    raise FeasibilityError(
-                        f"{kind} bucket {(head, tail)} with sum {row_sum} has {count} "
-                        f"candidate rows (cap {_CAP_ROWS})"
-                    )
                 owners.append(i)
                 negatives.append(k)
-                counts.append(count)
+                counts.append(math.comb(middle, k))
         if not counts:
             return [None] * len(keys)
         templates = np.array([head + (1,) * middle + tail for head, tail in keys], np.int8)
@@ -559,10 +561,15 @@ class _SeedWork:
                 del spectra  # before the next batch's are made
                 kept_rows += np.bincount(owner[first : first + batch][keep], minlength=len(keys))
                 if fields is None:
-                    fields = [np.array(field) for field in kept]
+                    fields = tuple(map(np.array, kept))
                 else:
                     for array, field in zip(fields, kept):
                         _extend(array, field)
+                if _nbytes(fields) > _STORE_BYTES:
+                    raise FeasibilityError(
+                        f"{kind} buckets {keys} keep at least {_nbytes(fields)} bytes of "
+                        f"rows, over the store bound of {_STORE_BYTES}"
+                    )
         if fields is None:
             return [None] * len(keys)
         # Each key's rows are consecutive, in key order.
@@ -601,30 +608,17 @@ class _SeedWork:
         pair.  A key with an empty bucket has no (start, stop); None when
         no key has both buckets.
         """
-        self._build("C", [c for c, _ in keys])
-        self._build("D", [d for c, d in keys if self.store["C", c] is not None])
-        both = [(c, d) for c, d in keys if self.store["C", c] and self.store.get(("D", d))]
+        c_buckets = self._buckets("C", [c for c, _ in keys])
+        d_buckets = self._buckets("D", [d for c, d in keys if c_buckets[c] is not None])
+        both = [(c, d) for c, d in keys if c_buckets[c] and d_buckets.get(d)]
         if not both:
             return None
-        c_bucket, c_at = _stack({c: self.store["C", c] for c, _ in both})
-        d_bucket, d_at = _stack({d: self.store["D", d] for _, d in both})
+        c_bucket, c_at = _stack({c: c_buckets[c] for c, _ in both})
+        d_bucket, d_at = _stack({d: d_buckets[d] for _, d in both})
         spans = [(*c_at[c], *d_at[d]) for c, d in both]
         ic, id_, nafs, bounds = _spectral_pairs(c_bucket, d_bucket, spans, self.live, self.limit)
         pairs = _pair_block(c_bucket.rows[ic], d_bucket.rows[id_], nafs)
         return pairs, dict(zip(both, itertools.pairwise(bounds.tolist())))
-
-    def _cached_pairs(self, keys):
-        """`_pairs(keys)`, kept in `pair_cache` by the bytes it holds."""
-        keys = tuple(keys)
-        if keys in self.pair_cache:
-            entry = self.pair_cache.pop(keys)
-        else:
-            entry = self._pairs(keys)
-            self.pair_cache_bytes += _nbytes(entry)
-        self.pair_cache[keys] = entry
-        while self.pair_cache_bytes > _PAIR_CACHE_BYTES and len(self.pair_cache) > 1:
-            self.pair_cache_bytes -= _nbytes(self.pair_cache.pop(next(iter(self.pair_cache))))
-        return entry
 
     def _join(self, keys, pairs: _Pairs, entries):
         """(entry, A rows, B rows) of every hit of the pairs `entries` in no set order, or None.
@@ -720,8 +714,11 @@ class _SeedWork:
         are built, its pairs screened and its completions checked once.
         """
         keys = [_group_key(seed) for seed in seeds]
-        named = list(dict.fromkeys(keys))
-        screened = self._pairs(named) if self.cfg.squares is None else self._cached_pairs(named)
+        named = tuple(dict.fromkeys(keys))
+        if self.cfg.squares is None:
+            screened = self._pairs(named)
+        else:
+            screened = self._get(("pairs", named), self._pairs, named)
         codes: list[list[str]] = [[] for _ in seeds]
         if screened is None:
             return codes
@@ -733,9 +730,11 @@ class _SeedWork:
         return codes
 
 
-def _nbytes(screened) -> int:
-    """The bytes of the pairs of a `_SeedWork._pairs` result."""
-    return 0 if screened is None else sum(array.nbytes for array in screened[0])
+def _nbytes(entry) -> int:
+    """The bytes of the arrays in a store entry; tuples are searched, other values count 0."""
+    if isinstance(entry, np.ndarray):
+        return entry.nbytes
+    return sum(map(_nbytes, entry)) if isinstance(entry, tuple) else 0
 
 
 _WORKER_STATE: dict = {}

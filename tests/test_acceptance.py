@@ -1,9 +1,10 @@
 """Acceptance gate: one test per headline claim, one PASS/FAIL line each.
 
 Run with -s to see the ACCEPTANCE lines as they complete.  Criteria
-marked long (the n=38 seed count, the n=8 oracle cross-check) only run
-with TURYNSEQ_LONG=1 in the environment; they are multi-hour
-reproductions, not regressions.
+marked long (the n=20 class count, the n=38 seed count, the n=8 oracle
+cross-check) only run with TURYNSEQ_LONG=1 in the environment; they
+take minutes to hours and reproduce the paper rather than guard
+against regressions.
 """
 
 import itertools
@@ -78,6 +79,11 @@ class TestAcceptance:
             assert time.monotonic() - t0 < 7200.0
             first12 = load_reference_codes("reference_first12_n16.txt")
             assert list(listing_cache(16).codes[:12]) == first12
+
+    @long_only
+    def test_01_class_count_n20(self, listing_cache):
+        with criterion("1-long", "n=20 class count 913"):
+            assert len(listing_cache(20)) == REFERENCE_COUNTS[20]
 
     def test_02_representative_listings(self, listing_cache):
         with criterion(2, "byte-exact representative listings for n<=12"):

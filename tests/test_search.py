@@ -117,6 +117,47 @@ def spectral_full_rows(length: int, h: int, row_sum: int, cfg: SearchConfig) -> 
     return found
 
 
+def assert_store_bound_keeps_hits(monkeypatch, cfg, blocks):
+    """Check that a store bound which drops entries changes no seed's hits; returns its run.
+
+    The bound is set above every entry and every bucket pass the blocks
+    can make (a kind's buckets of all keys a block names), so no pass is
+    refused, and below the unbounded run's whole store, so entries are
+    dropped and built again.  After every block the store holds at most
+    the bound, and `store_bytes` counts exactly its entries.
+    """
+    nbytes = search_module._nbytes
+    built = []
+    real = search_module._SeedWork._build_buckets
+
+    def counting(work, kind, keys):
+        built.extend(keys)
+        return real(work, kind, keys)
+
+    monkeypatch.setattr(search_module._SeedWork, "_build_buckets", counting)
+    unbounded = search_module._SeedWork(cfg)
+    expected = [unbounded.hits(block) for block in blocks]
+    store = unbounded.store
+    sizes = sorted(map(nbytes, store.values()))
+    passes = [
+        sum(nbytes(store.get((kind, key))) for key in {seed.key(kind) for seed in block})
+        for block in blocks
+        for kind in "CD"
+    ]
+    bound = max(sizes[-1] + sizes[-2], *passes)
+    assert bound < unbounded.store_bytes == sum(sizes)
+    monkeypatch.setattr(search_module, "_STORE_BYTES", bound)
+    unbounded_builds = len(built)
+    work = search_module._SeedWork(cfg)
+    for block, hits in zip(blocks, expected):
+        assert work.hits(block) == hits
+        assert work.store_bytes == sum(map(nbytes, work.store.values())) <= bound
+    assert len(built) - unbounded_builds > unbounded_builds
+    assert len(work.store) < len(store)
+    assert any(map(any, expected))
+    return work
+
+
 def checkpoint_fields(path) -> dict[str, str]:
     """key=value fields of a checkpoint file; empty while it does not exist."""
     try:
@@ -437,23 +478,31 @@ class TestBuildPool:
             assert len(head) == len(tail) == 1
             assert bucket.rows.shape[1] == 9
 
-    def test_row_cap_refusal(self, monkeypatch):
-        # The D bucket of sum -3 at n=38 whose 25-entry middle has 12 of
-        # its entries -1: comb(25, 12) = 5,200,300 candidates.  The
-        # refusal comes before any row is built: the clause mask is the
-        # first call on a chunk of rows.
-        def no_rows(*args):
-            raise AssertionError("a refused bucket must build no rows")
-
-        monkeypatch.setattr(search_module, "_clause_mask", no_rows)
-        work = search_module._SeedWork(SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3)))
-        key = ((1, -1, -1, -1, -1, 1), (-1, -1, -1, -1, 1, 1))
-        with pytest.raises(FeasibilityError) as exc:
-            work.rows("D", key)
-        assert str(exc.value) == (
-            f"D bucket {key} with sum -3 has 5200300 candidate rows (cap 5000000)"
-        )
-        assert work.store == {}
+    def test_store_bound_refuses_a_whole_pass(self, monkeypatch):
+        # The bound counts the kept rows of one pass over several keys,
+        # each of which alone fits.  A refused pass leaves the store as
+        # it was; a pass at the bound builds, dropping the oldest entry.
+        cfg = SearchConfig(n=12)
+        keys = [((1, 1, 1), (1, 1, -1)), ((1, 1, 1), (1, -1, 1)), ((1, 1, 1), (1, -1, -1))]
+        sizes = [search_module._SeedWork(cfg).rows("C", key).nbytes for key in keys]
+        monkeypatch.setattr(search_module, "_STORE_BYTES", sizes[1] + sizes[2] - 1)
+        assert max(sizes) <= search_module._STORE_BYTES
+        work = search_module._SeedWork(cfg)
+        with pytest.raises(FeasibilityError, match=r"C buckets \[.*\] keep at least \d+ bytes"):
+            work._buckets("C", keys)
+        assert work.store == {} and work.store_bytes == 0
+        work.rows("C", keys[0])
+        before = list(work.store.items())
+        with pytest.raises(FeasibilityError, match="over the store bound"):
+            work._buckets("C", keys)
+        assert list(work.store.items()) == before and work.store_bytes == sizes[0]
+        monkeypatch.setattr(search_module, "_STORE_BYTES", sizes[1] + sizes[2])
+        built = work._buckets("C", keys)
+        assert [bucket.nbytes for bucket in built.values()] == sizes
+        assert list(work.store) == [("C", keys[1]), ("C", keys[2])]
+        assert work.store_bytes == sizes[1] + sizes[2]
+        work.rows("C", keys[1])
+        assert list(work.store) == [("C", keys[2]), ("C", keys[1])]
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_lazy_buckets_equal_filtered_full_rows(self, n):
@@ -527,23 +576,47 @@ class TestBuildPool:
             assert np.all(bucket.rows == np.array(row.entries), axis=1).any()
             assert bucket.nbytes == count * (length + 2 * (length - 1) + 38 * 8)
 
-    def test_bucket_row_cap_refusal(self, monkeypatch):
-        # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates.
-        monkeypatch.setattr(search_module, "_CAP_ROWS", 5)
-        work = search_module._SeedWork(cfg10())
-        with pytest.raises(FeasibilityError, match="15 candidate rows .cap 5."):
-            work.rows("C", ((1, 1), (1, 1)))
-
-    def test_bucket_row_cap_guards_each_sum_apart(self, monkeypatch):
-        # The same middle in the sweep: sums -2, 0, 2 and 4 have 1, 6, 15
-        # and 20 candidates (sum -4 would need 7 of the 6 entries).  Their
-        # 42 pass a cap of 20, since each sum's part is capped alone.
+    def test_bucket_store_bound_refusal(self, monkeypatch):
+        # Middle of 6 entries with 4 of them -1: comb(6, 4) = 15 candidates,
+        # of which 8 are kept, at 10 + 18 + 38 * 8 = 332 bytes a row.
         key = ((1, 1), (1, 1))
-        monkeypatch.setattr(search_module, "_CAP_ROWS", 20)
-        assert len(search_module._SeedWork(SearchConfig(n=10)).rows("C", key).rows) <= 42
-        monkeypatch.setattr(search_module, "_CAP_ROWS", 19)
-        with pytest.raises(FeasibilityError, match="with sum 4 has 20 candidate rows"):
+        monkeypatch.setattr(search_module, "_STORE_BYTES", 8 * 332 - 1)
+        work = search_module._SeedWork(cfg10())
+        with pytest.raises(FeasibilityError) as exc:
+            work.rows("C", key)
+        assert str(exc.value) == (
+            f"C buckets [{key}] keep at least 2656 bytes of rows, over the store bound of 2655"
+        )
+        assert work.store == {}
+        monkeypatch.setattr(search_module, "_STORE_BYTES", 8 * 332)
+        assert len(work.rows("C", key).rows) == 8
+        assert work.store_bytes == 2656
+
+    def test_bucket_store_bound_counts_every_sum(self, monkeypatch):
+        # The same middle in the sweep: sums -2, 0, 2 and 4 have 1, 6, 15
+        # and 20 candidates (sum -4 would need 7 of the 6 entries), and
+        # the bound counts the kept rows of all of them together.
+        key = ((1, 1), (1, 1))
+        rows = len(search_module._SeedWork(SearchConfig(n=10)).rows("C", key).rows)
+        assert 8 < rows <= 42
+        monkeypatch.setattr(search_module, "_STORE_BYTES", rows * 332)
+        assert len(search_module._SeedWork(SearchConfig(n=10)).rows("C", key).rows) == rows
+        monkeypatch.setattr(search_module, "_STORE_BYTES", rows * 332 - 1)
+        with pytest.raises(FeasibilityError, match=f"at least {rows * 332} bytes"):
             search_module._SeedWork(SearchConfig(n=10)).rows("C", key)
+
+    @pytest.mark.skipif(
+        os.environ.get("TURYNSEQ_LONG") != "1", reason="set TURYNSEQ_LONG=1 to run"
+    )
+    def test_tt38_seed_named_d_bucket_builds(self):
+        # The TT(38) target names this D bucket of sum -3 at seed index
+        # 126,898.  Its 25-entry middle has 13 of its entries -1:
+        # comb(25, 13) = 5,200,300 candidates, of which 133,907 rows of
+        # 413 bytes are kept.
+        work = search_module._SeedWork(SearchConfig(n=38, squares=Decomposition(8, -4, 8, -3)))
+        bucket = work.rows("D", ((1, 1, 1, -1, -1, -1), (-1, -1, -1, -1, 1, 1)))
+        assert len(bucket.rows) == 133_907
+        assert bucket.nbytes == work.store_bytes == 133_907 * (37 + 2 * 36 + 38 * 8)
 
 
 class TestJoinTables:
@@ -1122,23 +1195,22 @@ class TestSearch:
 
     def test_hunt_pair_cache_is_bounded_by_bytes(self, monkeypatch):
         # A hunt's one-seed blocks meet a (C, D) key again in later runs,
-        # so it keeps screened pairs by key; past the byte bound the least
-        # recently used go first, and the hits do not change.
+        # so the store keeps its screened pairs by key, beside the buckets
+        # and tables; past the byte bound the least recently used go
+        # first, and the hits do not change.
         cfg = SearchConfig(n=16, squares=Decomposition(8, -2, 2, 3))
-        seeds = list(itertools.islice(generate_seeds(cfg), 200))
-        unbounded = search_module._SeedWork(cfg)
-        expected = [unbounded.hits([seed]) for seed in seeds]
-        sizes = sorted(map(search_module._nbytes, unbounded.pair_cache.values()))
-        bound = sizes[-1] + sizes[-2]
-        monkeypatch.setattr(search_module, "_PAIR_CACHE_BYTES", bound)
-        work = search_module._SeedWork(cfg)
-        for seed, hits in zip(seeds, expected):
-            assert work.hits([seed]) == hits
-            cached = sum(map(search_module._nbytes, work.pair_cache.values()))
-            assert work.pair_cache_bytes == cached <= bound
-            assert list(work.pair_cache)[-1] == (search_module._group_key(seed),)
-        assert any(hits[0] for hits in expected)
-        assert 1 < len(work.pair_cache) < len(unbounded.pair_cache)
+        seeds = itertools.islice(generate_seeds(cfg), 200)
+        work = assert_store_bound_keeps_hits(monkeypatch, cfg, [[seed] for seed in seeds])
+        assert any(key[0] == "pairs" for key in work.store)
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_store_bound_keeps_sweep_hits(self, monkeypatch, n):
+        # Blocks closed at 10 seeds meet C buckets, D buckets and tables
+        # again in later blocks; a sweep keeps no pairs.
+        monkeypatch.setattr(search_module, "_BATCH_SEEDS", 10)
+        blocks, _ = search_module._work_items(SearchConfig(n=n), 1, 0, None)
+        work = assert_store_bound_keeps_hits(monkeypatch, SearchConfig(n=n), blocks)
+        assert not any(key[0] == "pairs" for key in work.store)
 
     def test_paper_scale_target_runs(self, tmp_path):
         # The whole C pool of sum 8 at n=28 has comb(28, 10) = 13,123,110
