@@ -23,17 +23,15 @@ branch cut this way violates a necessary condition, hence no completion
 is lost to it.
 
 The walk also restricts choices to the prefix-decidable parts of the
-canonical-form conditions:
+canonical-form conditions, read from `core`:
 
-  * step 1 pins a_1 = a_n = b_1 = b_n = c_1 = d_1 = +1;
-  * while A (or B) is end-symmetric so far, the first asymmetric pair
-    must start with +1;
-  * while C is end-antisymmetric so far, the first symmetric pair must
-    start with +1;
-  * the first D pair whose product d_k d_{n-k} differs from d_{n-1}
-    must start with +1 (the lone middle entry counts as product +1);
-  * once a_2, b_2, a_{n-1}, b_{n-1} are known: a_2 != b_2 forces
-    a_2 = +1, and a_2 = b_2 forces a_{n-1} = +1, b_{n-1} = -1.
+  * step 1 pins a_1 = a_n = b_1 = b_n = c_1 = d_1 = +1 (clause (i));
+  * one scan per row: while every pair so far has x_k x_{L+1-k} equal
+    to the row's sign (+1 for A and B, -1 for C, d_{n-1} for D), a pair
+    that differs must start with +1 and ends the scan (clauses
+    (ii)-(v); D's lone middle entry has product +1, and D's first pair
+    places d_{n-1}, so it matches);
+  * once a_2, b_2, a_{n-1}, b_{n-1} are known, clause (vi) on them.
 
 These are exactly the six canonical conditions restricted to decided
 entries, so with the full plan the leaves are precisely the canonical
@@ -50,9 +48,12 @@ import functools
 
 import numpy as np
 
+from .core import _ROW_CLAUSES, _ab_order
 from .seqs import naf_sums
 
 _PAIR_ALL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# Step 1 under clause (i): x_1 = +1, and x_L = +1 where the row pins it.
+_PINNED, _PINNED_FIRST = ((1, 1),), ((1, 1), (1, -1))
 _WEIGHT = (1, 1, 2, 2)
 
 
@@ -78,10 +79,12 @@ def fill_plan(n: int, head_len: int) -> list[tuple[int, int]]:
 
 @functools.lru_cache(maxsize=64)
 def _schedule(n, plan, filled):
-    """Plan items (seq, k, j1, j2) and schedules (seq, weight, j1, touches1, j2, touches2).
+    """Plan items (seq, k, pairs) and schedules (seq, weight, j1, touches1, j2, touches2).
 
-    j2 = -1 marks D's middle entry; touches are the (partner, lag) pairs a
-    new entry meets, given `filled`, each row's preset positions.
+    `pairs` are the step's candidate (v1, v2) under clause (i)'s step-1
+    pins, with v1 = v2 at D's lone middle entry, marked j2 = -1; touches
+    are the (partner, lag) pairs a new entry meets, given `filled`, each
+    row's preset positions.
     """
     filled = [list(row) for row in filled]
 
@@ -95,9 +98,12 @@ def _schedule(n, plan, filled):
     for seq, k in plan:
         j1 = k - 1
         j2 = n - k if seq < 3 else n - k - 1
+        # Clause (i) pins step 1; a lone middle entry is its own partner.
+        pairs = _PAIR_ALL if k > 1 else _PINNED if _ROW_CLAUSES[seq][1] else _PINNED_FIRST
         if seq == 3 and j2 == j1:
             j2 = -1
-        items.append((seq, k, j1, j2))
+            pairs = tuple((v1, v2) for v1, v2 in pairs if v1 == v2)
+        items.append((seq, k, pairs))
         touches1 = touches(seq, j1)
         sched.append((seq, _WEIGHT[seq], j1, touches1, j2, touches(seq, j2) if j2 >= 0 else ()))
     return tuple(items), tuple(sched)
@@ -129,15 +135,14 @@ class PairDfs:
         filled = tuple(tuple(j for j, v in enumerate(row) if v) for row in self.rows)
         self._plan, sched = _schedule(n, tuple(plan), filled)
         self._sched = [(self.rows[seq], *rest) for seq, *rest in sched]
-        # Flags: (sym_a, sym_b, antisym_c, d_scan_open, d_eps); one slot per
-        # depth.  They start as the scan of the preset pairs with both entries
-        # set; D's lone middle entry, zipped with itself, has product +1.
-        eps = self.rows[3][-1]
+        # Flags: one scan-open bit per row, one tuple per depth.  They start
+        # as the scan of the preset pairs with both entries set; D's lone
+        # middle entry, zipped with itself, has product +1.
         start = (
-            int(all(x * y == sign for x, y in zip(row, row[::-1]) if x and y))
-            for row, sign in zip(self.rows, (1, 1, -1, eps))
+            int(all(x * y == (sign or row[-1]) for x, y in zip(row, row[::-1]) if x and y))
+            for row, (sign, _) in zip(self.rows, _ROW_CLAUSES)
         )
-        self._fl = [(*start, eps)] + [None] * len(self._plan)
+        self._fl = [tuple(start)] + [None] * len(self._plan)
 
     # -- state updates ----------------------------------------------------
 
@@ -199,60 +204,27 @@ class PairDfs:
     # -- option lists -----------------------------------------------------
 
     def _options(self, t):
-        seq, k, j1, j2 = self._plan[t]
+        seq, k, pairs = self._plan[t]
         fl = self._fl[t]
-        sa, sb, ac, don, eps = fl
-        if seq < 2:
-            # One rule on A's or B's own symmetry slot; B adds clause (vi) at k = 2.
-            if k == 1:
-                opts = [(1, 1, fl)]
-            elif fl[seq]:
-                off = fl[:seq] + (0,) + fl[seq + 1 :]
-                opts = [(1, 1, fl), (1, -1, off), (-1, -1, fl)]
-            else:
-                opts = [(v1, v2, fl) for v1, v2 in _PAIR_ALL]
-            if seq == 1 and k == 2:
-                # a_2, a_{n-1} are already placed; this pair is (b_2, b_{n-1}).
-                a2 = self.rows[0][1]
-                an1 = self.rows[0][self.n - 2]
-                kept = []
-                for v1, v2, nf in opts:
-                    if a2 != v1:
-                        if a2 == 1:
-                            kept.append((v1, v2, nf))
-                    elif an1 == 1 and v2 == -1:
-                        kept.append((v1, v2, nf))
-                opts = kept
-            return opts
-        if seq == 2:
-            if k == 1:
-                off = (sa, sb, 0, don, eps)
-                return [(1, 1, off), (1, -1, fl)]
-            if ac:
-                off = (sa, sb, 0, don, eps)
-                return [(1, 1, off), (1, -1, fl), (-1, 1, fl)]
-            return [(v1, v2, fl) for v1, v2 in _PAIR_ALL]
-        # seq == 3
-        if j2 < 0:
-            # Lone middle entry; its self-product is +1.
-            if k == 1:
-                return [(1, 0, fl)]  # d_1 = +1
-            if don and eps == -1:
-                off = (sa, sb, ac, 0, eps)
-                return [(1, 0, off)]
-            return [(1, 0, fl), (-1, 0, fl)]
-        if k == 1:
-            return [(1, 1, (sa, sb, ac, 1, 1)), (1, -1, (sa, sb, ac, 1, -1))]
-        if don:
-            off = (sa, sb, ac, 0, eps)
+        if fl[seq]:
+            # The open scan: a pair matching the sign keeps it open, and the
+            # first other pair must start with +1.  D's sign d_{n-1} reads 0
+            # until D's first pair places it as v2, so that pair matches.
+            sign = _ROW_CLAUSES[seq][0] or self.rows[seq][-1]
+            closed = fl[:seq] + (0,) + fl[seq + 1 :]
             opts = []
-            for v1, v2 in _PAIR_ALL:
-                if v1 * v2 == eps:
+            for v1, v2 in pairs:
+                if v1 * v2 == (sign or v2):
                     opts.append((v1, v2, fl))
                 elif v1 == 1:
-                    opts.append((v1, v2, off))
-            return opts
-        return [(v1, v2, fl) for v1, v2 in _PAIR_ALL]
+                    opts.append((v1, v2, closed))
+        else:
+            opts = [(v1, v2, fl) for v1, v2 in pairs]
+        if seq == 1 and k == 2:
+            # a_2, a_{n-1} are already placed; this pair is (b_2, b_{n-1}).
+            a = self.rows[0]
+            opts = [opt for opt in opts if _ab_order(a[1], opt[0], a[self.n - 2], opt[1])]
+        return opts
 
     # -- walks --------------------------------------------------------
 

@@ -110,7 +110,7 @@ def enumerate_canonical(n: int, jobs: int = 1) -> ClassListing:
 
     Runs the two-phase search over every row-sum target with `jobs`
     processes; n = 2 has no boundary seeds, so its one class comes from
-    `brute_force_classes`.  Refuses n above 20 (n = 20 takes about 17
+    `brute_force_classes`.  Refuses n above 20 (n = 20 takes about 2
     minutes, and the sweep grows about 30x per length step there); the
     same sweep runs, and resumes, as `search(SearchConfig(n=N))`.
     """

@@ -4,6 +4,9 @@ Reference listings live in tests/data as plain listing files.  The
 constants below are independently published values used as oracles:
 the per-n class counts, six known canonical codes for n = 26..36, and
 one fully displayed TT(38) together with its compact code and row sums.
+The per-row canonical clauses are written out here as the paper states
+them, one function per row kind, as the oracle of the program's single
+sign-parametrised clause.
 """
 
 import os
@@ -61,6 +64,44 @@ TT38_ROW_SUMS = (8, -4, 8, -3)
 
 # The seven published codes for n = 26, 28, ..., 38, by n.
 PUBLISHED_CODES = {**KNOWN_LARGE_CODES, 38: TT38_CODE}
+
+
+def ab_clause(x: tuple[int, ...]) -> bool:
+    """Clause (i) for an A or B row (x_1 = x_n = +1), then clause (ii)/(iii)."""
+    n = len(x)
+    if x[0] != 1 or x[n - 1] != 1:
+        return False
+    for i in range(n):
+        if x[i] != x[n - 1 - i]:
+            return x[i] == 1
+    return True
+
+
+def c_clause(c: tuple[int, ...]) -> bool:
+    """Clause (i) for C (c_1 = +1), then clause (iv)."""
+    n = len(c)
+    if c[0] != 1:
+        return False
+    for i in range(n):
+        if c[i] == c[n - 1 - i]:
+            return c[i] == 1
+    return True
+
+
+def d_clause(d: tuple[int, ...]) -> bool:
+    """Clause (i) for D (d_1 = +1), then clause (v); D has length n - 1."""
+    m = len(d)
+    if d[0] != 1:
+        return False
+    eps = d[m - 1]
+    for i in range(1, m + 1):  # 1-based scan over positions of D
+        if d[i - 1] * d[m - i] != eps:
+            return d[i - 1] == 1
+    return True
+
+
+# The oracle clause of each row kind.
+ROW_ORACLES = {"A": ab_clause, "B": ab_clause, "C": c_clause, "D": d_clause}
 
 
 def load_reference_text(name: str) -> str:

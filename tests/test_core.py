@@ -40,6 +40,7 @@ from turynseq.seqs import BinarySeq, naf_vanishes
 from conftest import (
     KNOWN_LARGE_CODES,
     PUBLISHED_CODES,
+    ROW_ORACLES,
     TT38_A,
     TT38_B,
     TT38_C,
@@ -286,27 +287,21 @@ class TestCanonicalForm:
                 assert decode(code, n).c.entries[-1] == -1
 
 
-SCALAR_CLAUSES = {
-    "A": core._ab_clause,
-    "B": core._ab_clause,
-    "C": core._c_clause,
-    "D": core._d_clause,
-}
-
-
 def pm_rows(length: int):
     """Lists of `length` entries of +-1, for hypothesis."""
     return st.lists(st.sampled_from((1, -1)), min_size=length, max_size=length)
 
 
 class TestClauseMask:
-    """The vectorised clause mask of the pools and A/B tables, against the scalar clauses."""
+    """The scalar row clause and the vectorised clause mask, against the paper's clauses."""
 
     @pytest.mark.parametrize("length", range(2, 13))
     def test_equals_scalar_clauses_on_every_row(self, length):
         rows = np.array(list(itertools.product((1, -1), repeat=length)), np.int8)
-        for kind, clause in SCALAR_CLAUSES.items():
-            expected = [clause(tuple(row)) for row in rows.tolist()]
+        for seq, (kind, oracle) in enumerate(ROW_ORACLES.items()):
+            expected = [oracle(tuple(row)) for row in rows.tolist()]
+            scalar = [core._row_clause(tuple(row), core._ROW_CLAUSES[seq]) for row in rows.tolist()]
+            assert scalar == expected, kind
             assert core._clause_mask(rows, kind).tolist() == expected, kind
 
     @settings(derandomize=True, deadline=None)
@@ -317,7 +312,9 @@ class TestClauseMask:
         kind=st.sampled_from("ABCD"),
     )
     def test_equals_scalar_clauses_on_random_rows(self, rows, kind):
-        expected = [SCALAR_CLAUSES[kind](tuple(row)) for row in rows]
+        expected = [ROW_ORACLES[kind](tuple(row)) for row in rows]
+        clause = core._ROW_CLAUSES["ABCD".index(kind)]
+        assert [core._row_clause(tuple(row), clause) for row in rows] == expected
         assert core._clause_mask(np.array(rows, np.int8), kind).tolist() == expected
 
 

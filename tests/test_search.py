@@ -22,7 +22,11 @@ from conftest import (
     TT38_C,
     TT38_D,
     TT38_CODE,
+    ROW_ORACLES,
+    ab_clause,
+    c_clause,
     child_env,
+    d_clause,
     grid_spectra,
     load_reference_codes,
     per_row_pairs,
@@ -31,7 +35,7 @@ from conftest import (
 )
 from turynseq.codec import decode, encode
 from turynseq.engine import PairDfs, fill_plan, full_plan, seed_plan
-from turynseq.core import TurynQuad, _ab_clause, _c_clause, _d_clause, is_canonical, verify_tt
+from turynseq.core import TurynQuad, is_canonical, verify_tt
 from turynseq.enumeration import (
     Decomposition,
     FeasibilityError,
@@ -289,35 +293,49 @@ class TestSeedQuad:
 
 
 class TestGenerateSeeds:
-    def test_count_matches_exhaustive_boundary_filter_n10(self):
-        # Independent oracle: scan all 2^14 boundary assignments for
-        # head_len=2 (D's width 1) and keep those satisfying the two
-        # boundary-complete lag constraints plus every prefix-decidable
-        # canonical condition.
-        survivors = 0
-        for a1, a8, b1, b8, c1, c8, c9, d8 in itertools.product((1, -1), repeat=8):
-            a0 = a9 = b0 = b9 = c0 = d0 = 1
-            # prefix-decidable canonical conditions
-            if a1 != a8 and a1 != 1:
+    @pytest.mark.parametrize("n, head_len", [(10, 2), (12, 3), (14, 3)])
+    def test_seeds_match_exhaustive_boundary_filter(self, n, head_len):
+        # Independent oracle: scan every boundary assignment under clause
+        # (i)'s pins (2^16 of them at head_len 3) and keep those whose lags
+        # s >= n - head_len vanish and that pass each row's clause and
+        # clause (vi) as far as the boundary decides them.  A row's
+        # boundary, head then tail, pairs its entries as the full row
+        # does, so the paper's clause on it is the part the boundary
+        # decides, vacuous past it.
+        lengths, widths = (n, n, n, n - 1), (head_len,) * 3 + (head_len - 1,)
+        # Clause (i) pins x_1 = +1 in every row and x_L = +1 in A and B.
+        slots = [
+            [*range(1, w), *range(length - w, length - (r < 2))]
+            for r, (length, w) in enumerate(zip(lengths, widths))
+        ]
+        bits = np.array(list(itertools.product((1, -1), repeat=sum(map(len, slots)))))
+        rows, start = [], 0
+        for r, (length, positions) in enumerate(zip(lengths, slots)):
+            row = np.zeros((len(bits), length), np.int64)
+            row[:, 0] = row[:, length - 1] = 1
+            row[:, positions] = bits[:, start : start + len(positions)]
+            start += len(positions)
+            rows.append(row)
+        vanish = np.ones(len(bits), bool)
+        for s in range(n - head_len, n):
+            lag_sum = sum(
+                weight * (row[:, : row.shape[1] - s] * row[:, s:]).sum(axis=1)
+                for row, weight in zip(rows, (1, 1, 2, 2))
+            )
+            vanish &= lag_sum == 0
+        expected = set()
+        for quad in zip(*(row[vanish].tolist() for row in rows)):
+            boundaries = [tuple(x[:w] + x[len(x) - w :]) for x, w in zip(quad, widths)]
+            if not all(clause(x) for clause, x in zip(ROW_ORACLES.values(), boundaries)):
                 continue
-            if b1 != b8 and b1 != 1:
+            a, b = quad[:2]
+            # Clause (vi), decided by the boundary for head_len >= 2.
+            if (a[1] != b[1] and a[1] != 1) or (a[1] == b[1] and (a[n - 2], b[n - 2]) != (1, -1)):
                 continue
-            if c9 == -1 and c1 == c8 and c1 != 1:
-                continue
-            if a1 != b1:
-                if a1 != 1:
-                    continue
-            elif not (a8 == 1 and b8 == -1):
-                continue
-            # boundary-complete lag constraints (s = 8 and s = 9)
-            if a0 * a9 + b0 * b9 + 2 * c0 * c9 != 0:
-                continue
-            if a0 * a8 + a1 * a9 + b0 * b8 + b1 * b9 + 2 * (c0 * c8 + c1 * c9) + 2 * d0 * d8 != 0:
-                continue
-            survivors += 1
-        cfg = cfg10(head_len=2)
-        seeds = list(generate_seeds(cfg))
-        assert len(seeds) == survivors
+            expected.add(tuple(map(tuple, quad)))
+        seeds = [(s.a, s.b, s.c, s.d) for s in generate_seeds(SearchConfig(n=n, head_len=head_len))]
+        assert len(set(seeds)) == len(seeds)
+        assert set(seeds) == expected
 
     def test_deterministic_order(self):
         cfg = cfg10()
@@ -345,12 +363,12 @@ class TestWalkStartState:
 
     def test_no_preset_starts_every_scan_open(self):
         for n in (4, 10, 38):
-            assert PairDfs(n, full_plan(n))._fl[0] == (1, 1, 1, 1, 0)
+            assert PairDfs(n, full_plan(n))._fl[0] == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_seed_preset_resumes_the_seed_walk(self, n):
         # Read off a seed, the start state equals the state the seed walk
-        # itself reached at that seed: all five scan slots, and P and U at
+        # itself reached at that seed: all four scan bits, and P and U at
         # every lag.
         h = default_head_len(n)
         eng = PairDfs(n, seed_plan(h))
@@ -421,7 +439,7 @@ class TestBuildPool:
         thetas = [j * np.pi / g for j in range(1, g + 1)]
         expected = set()
         for bits in itertools.product((1, -1), repeat=10):
-            if sum(bits) != 0 or not _c_clause(bits):
+            if sum(bits) != 0 or not c_clause(bits):
                 continue
             seq = BinarySeq(bits)
             if all(spectrum_value(seq, t) <= work.cfg.spectral_bound + 1e-6 for t in thetas):
@@ -515,8 +533,8 @@ class TestBuildPool:
         # boundary, the one-sum buckets concatenated in ascending order.
         sweep_work = search_module._SeedWork(SearchConfig(n=n))
         for kind, length, h, clause in (
-            ("C", n, sweep_work.cfg.head_len, _c_clause),
-            ("D", n - 1, sweep_work.cfg.d_head_len, _d_clause),
+            ("C", n, sweep_work.cfg.head_len, c_clause),
+            ("D", n - 1, sweep_work.cfg.d_head_len, d_clause),
         ):
             boundary = list(itertools.product((1, -1), repeat=h))
             one_sum_works = []
@@ -656,7 +674,7 @@ class TestJoinTables:
                     if tuple(row[:h]) == head
                     and tuple(row[n - h :]) == tail
                     and sum(row) in sums
-                    and _ab_clause(row)
+                    and ab_clause(row)
                 }
                 if table is None:
                     assert not expected
