@@ -235,61 +235,59 @@ def cmd_decode(args) -> int:
     return OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="turynseq",
-        description="Verify, enumerate, search, and transform Turyn-type sequence quadruples.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The commands in `turynseq -h` order: name -> (help, handler, arguments), each
+# argument one flag or name with its add_argument keywords.
+_COMMANDS = {
+    "verify": ("check quadruples from a file of codes or sign blocks", cmd_verify, (
+        ("input", {"help": "input file, or - for stdin"}),
+        ("--n", {"type": int, "help": "sequence length (required for hex codes)"}))),
+    "enumerate": ("list all canonical representatives for one n", cmd_enumerate, (
+        ("--n", {"type": int, "required": True}),
+        ("--jobs", {"type": int, "default": 1}),
+        ("--out", {"help": "write the listing to this file instead of stdout"}))),
+    "search": ("run a configured two-phase search", cmd_search, (
+        ("config", {"help": "key=value config file; omit squares= to sweep all"}),
+        ("--jobs", {"type": int, "default": 1}),
+        ("--out", {"help": "results listing file"}),
+        ("--resume", {"metavar": "CHECKPOINT", "help": "checkpoint file to create or resume from"}),
+        ("--stop-after", {"type": int, "help": "stop after this many hits"}))),
+    "construct": ("derive base sequences or T-sequences from a quadruple", cmd_construct, (
+        ("target", {"choices": ("base", "tseq")}),
+        ("input", {"nargs": "?", "help": "input file of codes or sign blocks"}),
+        ("--code", {"help": "single hex code instead of an input file"}),
+        ("--n", {"type": int}))),
+    "decompositions": ("ways to write 6n-2 as a^2+b^2+2c^2+2d^2", cmd_decompositions, (
+        ("--n", {"type": int, "required": True}),
+        ("--check", {"action": "store_true", "help": "mark each row realized/unrealized"}),
+        ("--jobs", {"type": int, "default": 1}))),
+    "encode": ("hex-encode sign blocks", cmd_encode, (
+        ("input", {"help": "input file of +- blocks, or - for stdin"}),
+        ("--form", {"choices": ("full", "compact"), "default": "full"}))),
+    "decode": ("print the sign block for a hex code", cmd_decode, (
+        ("code", {}),
+        ("--n", {"type": int, "required": True}),
+        ("--form", {"choices": ("full", "compact")}))),
+}
 
-    p = sub.add_parser("verify", help="check quadruples from a file of codes or sign blocks")
-    p.add_argument("input", help="input file, or - for stdin")
-    p.add_argument("--n", type=int, help="sequence length (required for hex codes)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("enumerate", help="list all canonical representatives for one n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="write the listing to this file instead of stdout")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("search", help="run a configured two-phase search")
-    p.add_argument("config", help="key=value config file; omit squares= to sweep all")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="results listing file")
-    p.add_argument("--resume", metavar="CHECKPOINT", help="checkpoint file to create or resume from")
-    p.add_argument("--stop-after", type=int, dest="stop_after", help="stop after this many hits")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("construct", help="derive base sequences or T-sequences from a quadruple")
-    p.add_argument("target", choices=("base", "tseq"))
-    p.add_argument("input", nargs="?", help="input file of codes or sign blocks")
-    p.add_argument("--code", help="single hex code instead of an input file")
-    p.add_argument("--n", type=int)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("decompositions", help="ways to write 6n-2 as a^2+b^2+2c^2+2d^2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--check", action="store_true", help="mark each row realized/unrealized")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_decompositions)
-
-    p = sub.add_parser("encode", help="hex-encode sign blocks")
-    p.add_argument("input", help="input file of +- blocks, or - for stdin")
-    p.add_argument("--form", choices=("full", "compact"), default="full")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode", help="print the sign block for a hex code")
-    p.add_argument("code")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--form", choices=("full", "compact"), default=None)
-    p.set_defaults(func=cmd_decode)
-
+def _build_parser(name=None) -> argparse.ArgumentParser:
+    """The root parser with every command, or with only command `name` but all seven in usage."""
+    description = "Verify, enumerate, search, and transform Turyn-type sequence quadruples."
+    parser = argparse.ArgumentParser(prog="turynseq", description=description)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if name in _COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for cmd, (help_text, func, arguments) in _COMMANDS.items():
+        if metavar is None or cmd == name:
+            p = sub.add_parser(cmd, help=help_text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

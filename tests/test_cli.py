@@ -1,5 +1,6 @@
 """Tests for the command-line interface, mostly via in-process main() calls."""
 
+import argparse
 import importlib.util
 import io
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TT38_CODE, child_env, load_reference_codes, load_reference_text
-from turynseq.cli import main
+from turynseq.cli import _build_parser, main
 from turynseq.codec import decode, read_listing
 from turynseq.enumeration import decompositions
 from turynseq.search import SearchConfig
@@ -332,6 +333,47 @@ class TestCodecCommands:
         assert run_cli(["decode", "016"], capsys)[0] == 2  # missing --n
         assert run_cli(["no-such-command"], capsys)[0] == 2
         assert run_cli([], capsys)[0] == 2
+
+
+COMMANDS = ("verify", "enumerate", "search", "construct", "decompositions", "encode", "decode")
+PARSER_CASES = (
+    [[], ["-h"]]
+    + [[command, "-h"] for command in COMMANDS]
+    + [
+        ["no-such-command"],
+        ["enumerate", "--n", "10", "extra"],  # reported with the root usage line
+        ["decode", "016"],  # missing --n
+        ["decode", "016", "--n", "x"],
+        ["construct", "foo"],
+    ]
+)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+    def test_matches_the_full_parser(self, argv, capsys):
+        # main builds only the named command's subparser; what it prints and
+        # returns must be what the parser with all seven commands gives.
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        full = (int(exc.value.code or 0), *capsys.readouterr())
+        assert run_cli(argv, capsys) == full
+
+    def test_builds_only_the_named_command(self, capsys, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert run_cli(["decode", "016", "--n", "4"], capsys)[0] == 0
+        assert built == ["decode"]
+        # With no argv, main reads the command from sys.argv.
+        monkeypatch.setattr("sys.argv", ["turynseq", "decode", "016", "--n", "4"])
+        assert run_cli(None, capsys)[1].splitlines() == ["++++", "++-+", "++--", "+-+"]
+        assert built == ["decode", "decode"]
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
